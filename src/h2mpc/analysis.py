@@ -147,12 +147,3 @@ def write_kde_csv(
     lines = ["current_density_a_cm2,density"]
     lines += [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), dens.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def operating_histogram_2d(log: TrajectoryLog, t_edges, j_edges, p: PlantParams | None = None):
-    """2-D frequency count of operating (temperature, current density)."""
-    p = p or PlantParams()
-    temps = np.array([a.temperature_k for a in log.actions])
-    j = np.array([a.current_a for a in log.actions]) / p.membrane_area_cm2
-    hist, _, _ = np.histogram2d(temps, j, bins=[np.asarray(t_edges), np.asarray(j_edges)])
-    return hist

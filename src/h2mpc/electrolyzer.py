@@ -1,21 +1,32 @@
-"""High-fidelity plant physics.
+"""The plant model and the closed-loop simulator step.
 
-Generation rates, the three-term voltage decomposition, total plant power,
-the empirical membrane-thinning rate, and the forward-Euler state
-transition used by the closed-loop simulator.
+One model serves both the simulator and the high-fidelity controller:
+``stack_point`` evaluates the three-term stack voltage, total plant power
+and the empirical membrane-thinning rate, each with its exact partial
+derivatives, at the configured chamber pressures. ``step`` advances the
+plant state with forward Euler.
 
-Scalar functions accept floats or numpy arrays (everything is written with
-numpy ufuncs), which the optimal-control transcription relies on.
+Functions accept floats or numpy arrays (everything is written with numpy
+ufuncs), which the optimal-control transcription relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from datetime import timedelta
 
 import numpy as np
 
 from . import units
+from .market import power_balance
 from .params import ControlAction, PlantParams, PlantState
+
+# reversible cell potential E_rev(T) = 1.299 - 0.9e-3 (T - 298) [V]
+E_REV_298 = 1.299
+E_REV_SLOPE = 0.9e-3  # V/K
+# Arrhenius temperature of the membrane conductivity [K]
+CONDUCTIVITY_ACTIVATION_K = 1268.0
 
 # membrane thinning rate [um/min]: polynomial in current density j [A/cm2]
 # with coefficients affine in temperature [K]; valid on j in [0.1, 1.3],
@@ -40,115 +51,17 @@ def h2_generation_rate(current: float, p: PlantParams):
     return p.n_stacks * current * p.faraday_efficiency / (2.0 * p.faraday_constant)
 
 
-def o2_generation_rate(current: float, p: PlantParams):
-    """Anode O2 generation [mol/s]: exactly half the H2 rate."""
-    return 0.5 * h2_generation_rate(current, p)
-
-
 def reversible_potential(temperature):
     """Reversible cell potential [V]: 1.299 - 0.9e-3 (T - 298)."""
-    return 1.299 - 0.9e-3 * (np.asarray(temperature, dtype=float) - 298.0)
-
-
-def activation_voltage(temperature, current, p: PlantParams):
-    """Activation overpotential [V]: (R T)/(2 F C) * ln(I / (rho_I * A)).
-
-    rho_I is in A/cm2 and the membrane area is taken in cm2 so the log
-    argument is dimensionless.
-    """
-    if np.any(np.asarray(current) <= 0.0):
-        raise ValueError("current must be positive (logarithm domain)")
-    i0 = p.exchange_current_density * p.membrane_area_cm2
-    t = np.asarray(temperature, dtype=float)
-    return (p.gas_constant * t) / (2.0 * p.faraday_constant * p.charge_coefficient) * np.log(
-        current / i0
-    )
+    return E_REV_298 - E_REV_SLOPE * (np.asarray(temperature, dtype=float) - 298.0)
 
 
 def membrane_conductivity(temperature, p: PlantParams):
     """Membrane conductivity [S/cm] from water content and temperature."""
     t = np.asarray(temperature, dtype=float)
-    return (0.00514 * p.water_content - 0.00326) * np.exp(1268.0 * (1.0 / 303.0 - 1.0 / t))
-
-
-def partial_pressures(n_h2_mol, n_o2_mol, temperature, volume_m3):
-    """Ideal-gas chamber pressures [bar] from inventories [mol]."""
-    if volume_m3 <= 0.0:
-        raise ValueError("chamber volume must be positive")
-    if np.any(np.asarray(n_h2_mol) < 0.0) or np.any(np.asarray(n_o2_mol) < 0.0):
-        raise ValueError("inventories must be nonnegative")
-    t = np.asarray(temperature, dtype=float)
-    from .params import GAS_CONSTANT
-
-    p_h2 = units.pa_to_bar(n_h2_mol * GAS_CONSTANT * t / volume_m3)
-    p_o2 = units.pa_to_bar(n_o2_mol * GAS_CONSTANT * t / volume_m3)
-    return p_h2, p_o2
-
-
-def open_circuit_voltage(temperature, p_h2_bar, p_o2_bar, p: PlantParams):
-    """Open-circuit voltage [V]: Nernst term plus the reversible potential.
-
-    Pressures are dimensionless relative to 1 bar.
-    """
-    if np.any(np.asarray(p_h2_bar) <= 0.0) or np.any(np.asarray(p_o2_bar) <= 0.0):
-        raise ValueError("partial pressures must be positive")
-    t = np.asarray(temperature, dtype=float)
-    nernst = (p.gas_constant * t) / (2.0 * p.faraday_constant) * np.log(
-        p_h2_bar * np.sqrt(p_o2_bar)
+    return (0.00514 * p.water_content - 0.00326) * np.exp(
+        CONDUCTIVITY_ACTIVATION_K * (1.0 / 303.0 - 1.0 / t)
     )
-    return nernst + reversible_potential(t)
-
-
-def ohmic_voltage(current, thickness_um, temperature, p: PlantParams):
-    """Ohmic overpotential [V]: I * eps / (A * beta), eps in cm, A in cm2."""
-    if np.any(np.asarray(current) < 0.0):
-        raise ValueError("current must be nonnegative")
-    if np.any(np.asarray(thickness_um) <= 0.0):
-        raise ValueError("membrane thickness must be positive")
-    beta = membrane_conductivity(temperature, p)
-    return current * units.um_to_cm(np.asarray(thickness_um, dtype=float)) / (
-        p.membrane_area_cm2 * beta
-    )
-
-
-@dataclass(frozen=True)
-class VoltageBreakdown:
-    v_act: float
-    v_oc: float
-    v_ohm: float
-    v_total: float
-    in_bounds: bool
-
-
-def total_voltage(
-    temperature, current, thickness_um, p_h2_bar, p_o2_bar, p: PlantParams
-) -> VoltageBreakdown:
-    """Per-stack voltage decomposition; flags the [voltage_min, voltage_max] box."""
-    v_act = activation_voltage(temperature, current, p)
-    v_oc = open_circuit_voltage(temperature, p_h2_bar, p_o2_bar, p)
-    v_ohm = ohmic_voltage(current, thickness_um, temperature, p)
-    v_total = v_act + v_oc + v_ohm
-    in_bounds = bool(np.all(v_total >= p.voltage_min) and np.all(v_total <= p.voltage_max))
-    return VoltageBreakdown(v_act, v_oc, v_ohm, v_total, in_bounds)
-
-
-def plant_power(
-    current, temperature, thickness_um, p_h2_bar, p_o2_bar, p: PlantParams
-):
-    """Total plant draw [kW]: stack electrochemistry plus auxiliaries.
-
-    Stacks are in series, so P_pem = V_total * I * n. Auxiliaries scale
-    with the H2 mass rate at extra_energy_coeff kWh per kg.
-    """
-    if np.all(np.asarray(current) == 0.0):
-        return np.asarray(current, dtype=float) * 0.0 if np.ndim(current) else 0.0
-    vb = total_voltage(temperature, current, thickness_um, p_h2_bar, p_o2_bar, p)
-    p_pem_kw = vb.v_total * current * p.n_stacks / 1000.0
-    mass_rate_kg_hr = units.kmol_hr_to_kg_hr(
-        units.mol_s_to_kmol_hr(h2_generation_rate(current, p))
-    )
-    p_extra_kw = p.extra_energy_coeff * mass_rate_kg_hr
-    return p_pem_kw + p_extra_kw
 
 
 def degradation_rate(temperature, current_density):
@@ -164,15 +77,91 @@ def degradation_rate(temperature, current_density):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def degradation_rate_bounds_ok(temperature, current_density, p: PlantParams) -> bool:
-    """True when (T, j) sits inside the data sheet's admissible box."""
-    j_lo = p.current_density_min / units.m2_to_cm2(1.0)  # A/m2 -> A/cm2
-    j_hi = p.current_density_max / units.m2_to_cm2(1.0)
-    return bool(
-        np.all(np.asarray(temperature) >= p.temperature_min)
-        and np.all(np.asarray(temperature) <= p.temperature_max)
-        and np.all(np.asarray(current_density) >= j_lo)
-        and np.all(np.asarray(current_density) <= j_hi)
+@dataclass(frozen=True)
+class StackPoint:
+    """The plant model at one or more (T, I, eps) points, with exact partials.
+
+    Voltages are per stack [V], power is the whole plant's draw [kW], the
+    rate is the signed membrane-thickness rate [um/min]. Partials are taken
+    in temperature [K], stack current [A] and membrane thickness [um].
+    """
+
+    v_act: np.ndarray
+    v_oc: np.ndarray
+    v_ohm: np.ndarray
+    v_tot: np.ndarray
+    dv_dT: np.ndarray
+    dv_dI: np.ndarray
+    dv_deps: np.ndarray
+    p_kw: np.ndarray
+    dp_dT: np.ndarray
+    dp_dI: np.ndarray
+    dp_deps: np.ndarray
+    rate: np.ndarray
+    drate_dT: np.ndarray
+    drate_dI: np.ndarray
+
+
+def stack_point(temperature, current, thickness_um, p: PlantParams) -> StackPoint:
+    """Voltage terms, plant power and thinning rate at the configured chamber pressures.
+
+    The one plant model: the simulator and the controller problem both
+    evaluate it. Per stack, V = V_act + V_oc + V_ohm with
+
+      V_act = (R T)/(2 F C) ln(I / (rho_I A))      (rho_I A/cm2, A cm2)
+      V_oc  = (R T)/(2 F) ln(p_H2 sqrt(p_O2)) + E_rev(T)
+      V_ohm = I eps / (A beta(T))                   (eps cm, A cm2)
+
+    Stacks are in series, so the plant draws V I n plus auxiliaries of
+    extra_energy_coeff kWh per kg of hydrogen produced.
+    """
+    T, I, eps = temperature, current, thickness_um
+    acm2 = p.membrane_area_cm2
+    j = I / acm2
+    i0 = p.exchange_current_density * acm2
+    rt_2f = p.gas_constant * T / (2.0 * p.faraday_constant)
+
+    log_arg = np.log(I / i0)
+    v_act = rt_2f / p.charge_coefficient * log_arg
+    dva_dT = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient) * log_arg
+    dva_dI = rt_2f / p.charge_coefficient / I
+
+    nernst_log = math.log(p.chamber_pressure_h2 * math.sqrt(p.chamber_pressure_o2))
+    v_oc = rt_2f * nernst_log + reversible_potential(T)
+    dvo_dT = p.gas_constant / (2.0 * p.faraday_constant) * nernst_log - E_REV_SLOPE
+
+    beta = membrane_conductivity(T, p)
+    eps_cm = units.um_to_cm(eps)
+    v_ohm = I * eps_cm / (acm2 * beta)
+    dvh_dI = eps_cm / (acm2 * beta)
+    dvh_deps = I * units.um_to_cm(1.0) / (acm2 * beta)
+    dvh_dT = -v_ohm * CONDUCTIVITY_ACTIVATION_K / T**2
+
+    v_tot = v_act + v_oc + v_ohm
+    dv_dT = dva_dT + dvo_dT + dvh_dT
+    dv_dI = dva_dI + dvh_dI
+    dv_deps = dvh_deps
+
+    aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * p.h2_kmol_hr_per_amp  # kW per A
+    p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
+    dp_dT = dv_dT * I * p.n_stacks / 1000.0
+    dp_dI = (v_tot + I * dv_dI) * p.n_stacks / 1000.0 + aux
+    dp_deps = dv_deps * I * p.n_stacks / 1000.0
+
+    rate = degradation_rate(T, j)
+    c4, c3, c2, c1, c0 = DEG_COEFFS
+    drate_dT = c4[0] * j**4 + c3[0] * j**3 + c2[0] * j**2 + c1[0] * j + c0[0]
+    a4 = c4[0] * T + c4[1]
+    a3 = c3[0] * T + c3[1]
+    a2 = c2[0] * T + c2[1]
+    a1 = c1[0] * T + c1[1]
+    drate_dI = (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / acm2
+
+    return StackPoint(
+        v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot,
+        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps,
+        p_kw=p_kw, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
+        rate=rate, drate_dT=drate_dT, drate_dI=drate_dI,
     )
 
 
@@ -186,7 +175,6 @@ class StepResult:
     power_kw: float
     membrane_loss_um: float
     membrane_cost_usd: float
-    voltage: VoltageBreakdown
     power_balance_residual_mwh: float
 
 
@@ -195,14 +183,12 @@ def step(
     action: ControlAction,
     dt_minutes: float,
     p: PlantParams,
-    pressure_mode: str = "configured",
     setpoint_tol_kmolhr: float | None = None,
 ) -> StepResult:
     """Advance the plant one step with forward Euler.
 
     The step length is pinned to the market cadence; the caller owns the
-    clock. ``pressure_mode`` selects quasi-steady configured chamber
-    pressures (default) or integration of chamber inventories.
+    clock. Chamber pressures are the configured quasi-steady values.
     """
     if dt_minutes != units.STEP_MINUTES:
         raise ValueError(f"step length is fixed at {units.STEP_MINUTES} minutes")
@@ -239,57 +225,26 @@ def step(
             f"[{p.storage_min:.1f}, {p.storage_max:.1f}]"
         )
 
-    if pressure_mode == "configured":
-        p_h2, p_o2 = p.chamber_pressure_h2, p.chamber_pressure_o2
-        chamber_h2, chamber_o2 = state.chamber_h2_mol, state.chamber_o2_mol
-    elif pressure_mode == "inventory":
-        p_h2, p_o2 = partial_pressures(
-            state.chamber_h2_mol, state.chamber_o2_mol, action.temperature_k, p.chamber_volume
-        )
-        out_kmolhr = action.h2_to_storage_kmolhr + action.h2_el_to_plant_kmolhr
-        net_mol_s = h2_generation_rate(action.current_a, p) - units.kmol_hr_to_mol_s(out_kmolhr)
-        chamber_h2 = state.chamber_h2_mol + net_mol_s * dt_minutes * 60.0
-        chamber_o2 = state.chamber_o2_mol + 0.5 * net_mol_s * dt_minutes * 60.0
-        if chamber_h2 < 0.0 or chamber_o2 < 0.0:
-            raise StepViolation("chamber inventory went negative")
-    else:
-        raise ValueError(f"unknown pressure mode {pressure_mode!r}")
-
-    rate = degradation_rate(action.temperature_k, action.current_a / p.membrane_area_cm2)
-    membrane_next = state.membrane_um + rate * dt_minutes
+    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p)
+    membrane_next = state.membrane_um + sp.rate * dt_minutes
     if membrane_next <= 0.0:
         raise StepViolation("membrane thickness would reach zero")
-
-    vb = total_voltage(action.temperature_k, action.current_a, state.membrane_um, p_h2, p_o2, p)
-    power_kw = plant_power(action.current_a, action.temperature_k, state.membrane_um, p_h2, p_o2, p)
 
     loss_um = state.membrane_um - membrane_next
     mem_cost = p.n_stacks * p.membrane_cost_coeff * loss_um
 
-    new_state = replace(
-        state,
+    new_state = PlantState(
         membrane_um=membrane_next,
         storage_kmol=storage_next,
-        clock=state.clock + _dt(dt_minutes),
-        chamber_h2_mol=chamber_h2,
-        chamber_o2_mol=chamber_o2,
+        clock=state.clock + timedelta(minutes=dt_minutes),
     )
-    from .market import power_balance
-
-    residual = power_balance(action.p_dam_mw, action.p_rtm_mw, power_kw, dt_hr)
+    residual = power_balance(action.p_dam_mw, action.p_rtm_mw, sp.p_kw, dt_hr)
     return StepResult(
         state=new_state,
         h2_generated_kmolhr=gen_kmolhr,
         h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * dt_hr),
-        power_kw=power_kw,
+        power_kw=sp.p_kw,
         membrane_loss_um=loss_um,
         membrane_cost_usd=mem_cost,
-        voltage=vb,
         power_balance_residual_mwh=residual,
     )
-
-
-def _dt(minutes: float):
-    from datetime import timedelta
-
-    return timedelta(minutes=minutes)

@@ -1,4 +1,4 @@
-"""Price ingestion, the two-timescale bidding clock, and settlement.
+"""Price ingestion, the position of a step in its day, and settlement.
 
 Price files are pre-shaped CSV: header ``timestamp,price_usd_per_mwh``,
 ISO-8601 local timestamps, one row per interval, no gaps. Day-ahead files
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -103,22 +102,6 @@ def settle(
     return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class MarketClock:
-    """Position of a timestamp inside the daily bidding cycle."""
-
-    ts: datetime
-
-    @property
-    def step_in_day(self) -> int:
-        return self.ts.hour * units.STEPS_PER_HOUR + self.ts.minute // 15
-
-    @property
-    def is_commitment_step(self) -> bool:
-        """True at 09:00, when next-day day-ahead quantities are decided."""
-        return self.step_in_day == units.COMMITMENT_STEP
-
-    @property
-    def steps_to_midnight(self) -> int:
-        """Steps remaining in the current day, counting this one."""
-        return units.STEPS_PER_DAY - self.step_in_day
+def step_in_day(ts: datetime) -> int:
+    """Index of the 15-minute step ``ts`` opens within its day (00:00 is 0)."""
+    return ts.hour * units.STEPS_PER_HOUR + ts.minute // 15

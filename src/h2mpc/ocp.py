@@ -130,61 +130,13 @@ class OcpProblem:
         return blocks
 
     # evaluation --------------------------------------------------------
-    def _physics(self, x: np.ndarray):
-        p = self.params
-        H = self.horizon
-        T = x[self.idx["temp"]]
-        I = x[self.idx["current"]]
-        eps = x[self.idx["eps"]][:-1] if self.high_fidelity else np.full(H, self.eps_const_um)
-
-        acm2 = p.membrane_area_cm2
-        j = I / acm2
-        i0 = p.exchange_current_density * acm2
-        rt_2f = p.gas_constant * T / (2.0 * p.faraday_constant)
-
-        log_arg = np.log(I / i0)
-        v_act = rt_2f / p.charge_coefficient * log_arg
-        dva_dT = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient) * log_arg
-        dva_dI = rt_2f / p.charge_coefficient / I
-
-        nernst_log = math.log(p.chamber_pressure_h2 * math.sqrt(p.chamber_pressure_o2))
-        v_oc = rt_2f * nernst_log + (1.299 - 0.9e-3 * (T - 298.0))
-        dvo_dT = p.gas_constant / (2.0 * p.faraday_constant) * nernst_log - 0.9e-3
-
-        beta = electrolyzer.membrane_conductivity(T, p)
-        eps_cm = eps * 1.0e-4
-        v_ohm = I * eps_cm / (acm2 * beta)
-        dvh_dI = eps_cm / (acm2 * beta)
-        dvh_deps = I * 1.0e-4 / (acm2 * beta)
-        dvh_dT = -v_ohm * 1268.0 / T**2
-
-        v_tot = v_act + v_oc + v_ohm
-        dv_dT = dva_dT + dvo_dT + dvh_dT
-        dv_dI = dva_dI + dvh_dI
-        dv_deps = dvh_deps
-
-        kgen = p.h2_kmol_hr_per_amp  # kmol/hr per A
-        aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * kgen  # kW per A
-        p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
-        dp_dT = dv_dT * I * p.n_stacks / 1000.0
-        dp_dI = (v_tot + I * dv_dI) * p.n_stacks / 1000.0 + aux
-        dp_deps = dv_deps * I * p.n_stacks / 1000.0
-
-        rate = electrolyzer.degradation_rate(T, j)
-        c4, c3, c2, c1, c0 = electrolyzer.DEG_COEFFS
-        drate_dT = c4[0] * j**4 + c3[0] * j**3 + c2[0] * j**2 + c1[0] * j + c0[0]
-        a4 = c4[0] * T + c4[1]
-        a3 = c3[0] * T + c3[1]
-        a2 = c2[0] * T + c2[1]
-        a1 = c1[0] * T + c1[1]
-        drate_dI = (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / acm2
-
-        return dict(
-            T=T, I=I, eps=eps, gen=kgen * I, kgen=kgen,
-            v_tot=v_tot, dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps,
-            p_kw=p_kw, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
-            rate=rate, drate_dT=drate_dT, drate_dI=drate_dI,
-        )
+    def _physics(self, x: np.ndarray) -> electrolyzer.StackPoint:
+        idx = self.idx
+        if self.high_fidelity:
+            eps = x[idx["eps"]][:-1]
+        else:
+            eps = np.full(self.horizon, self.eps_const_um)
+        return electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps, self.params)
 
     def objective_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         self._check_finite(x, "variable")
@@ -230,18 +182,19 @@ class OcpProblem:
         )
         return residual, jac
 
-    def _residual(self, x: np.ndarray, ph: dict) -> np.ndarray:
+    def _residual(self, x: np.ndarray, ph: electrolyzer.StackPoint) -> np.ndarray:
         self._check_finite(x, "variable")
         idx = self.idx
 
+        gen = self.params.h2_kmol_hr_per_amp * x[idx["current"]]
         res_parts = [
-            ph["gen"] - x[idx["el_plant"]] - x[idx["stor_in"]],
+            gen - x[idx["el_plant"]] - x[idx["stor_in"]],
         ]
         if self.strategy is not StrategyKind.CO:
             res_parts.append(
                 x[idx["el_plant"]] + x[idx["stor_out"]] - self.params.h2_setpoint
             )
-        res_parts.append(x[idx["p_dam"]] + x[idx["p_rtm"]] - ph["p_kw"] / 1000.0)
+        res_parts.append(x[idx["p_dam"]] + x[idx["p_rtm"]] - ph.p_kw / 1000.0)
         stor = x[idx["stor"]]
         res_parts.append(
             stor[1:] - stor[:-1]
@@ -249,45 +202,45 @@ class OcpProblem:
         )
         if self.high_fidelity:
             eps = x[idx["eps"]]
-            res_parts.append(eps[1:] - eps[:-1] - units.STEP_MINUTES * ph["rate"])
+            res_parts.append(eps[1:] - eps[:-1] - units.STEP_MINUTES * ph.rate)
         if len(self.tie_pairs):
             res_parts.append(
                 x[idx["p_dam"][self.tie_pairs[:, 0]]] - x[idx["p_dam"][self.tie_pairs[:, 1]]]
             )
-        res_parts.append(ph["v_tot"])
-        res_parts.append(ph["p_kw"])
+        res_parts.append(ph.v_tot)
+        res_parts.append(ph.p_kw)
         residual = np.concatenate([np.atleast_1d(r) for r in res_parts])
         if not np.all(np.isfinite(residual)):
             bad = int(np.flatnonzero(~np.isfinite(residual))[0])
             raise EvalError(f"constraint residual {bad} is not finite")
         return residual
 
-    def _jacobian_data(self, x: np.ndarray, ph: dict) -> np.ndarray:
+    def _jacobian_data(self, x: np.ndarray, ph: electrolyzer.StackPoint) -> np.ndarray:
         """Values matching the fixed (rows, cols) pattern from build time."""
         H = self.horizon
         ones = np.ones(H)
-        parts = [ph["kgen"] * ones, -ones, -ones]  # mass split: I, el, in
+        parts = [self.params.h2_kmol_hr_per_amp * ones, -ones, -ones]  # mass split: I, el, in
         if self.strategy is not StrategyKind.CO:
             parts += [ones, ones]  # setpoint: el, out
-        balance = [ones, ones, -ph["dp_dT"] / 1000.0, -ph["dp_dI"] / 1000.0]
+        balance = [ones, ones, -ph.dp_dT / 1000.0, -ph.dp_dI / 1000.0]
         if self.high_fidelity:
-            balance.append(-ph["dp_deps"] / 1000.0)
+            balance.append(-ph.dp_deps / 1000.0)
         parts += balance
         parts += [ones, -ones, -units.STEP_HOURS * ones, units.STEP_HOURS * ones]
         if self.high_fidelity:
             parts += [
                 ones, -ones,
-                -units.STEP_MINUTES * ph["drate_dT"],
-                -units.STEP_MINUTES * ph["drate_dI"],
+                -units.STEP_MINUTES * ph.drate_dT,
+                -units.STEP_MINUTES * ph.drate_dI,
             ]
         if len(self.tie_pairs):
             k = len(self.tie_pairs)
             parts += [np.ones(k), -np.ones(k)]
-        voltage = [ph["dv_dT"], ph["dv_dI"]]
-        power = [ph["dp_dT"], ph["dp_dI"]]
+        voltage = [ph.dv_dT, ph.dv_dI]
+        power = [ph.dp_dT, ph.dp_dI]
         if self.high_fidelity:
-            voltage.append(ph["dv_deps"])
-            power.append(ph["dp_deps"])
+            voltage.append(ph.dv_deps)
+            power.append(ph.dp_deps)
         parts += voltage + power
         return np.concatenate(parts)
 

@@ -1,18 +1,17 @@
 """Core domain types: plant parameters, state, actions, prices, commitments.
 
 All types are immutable value records, safe to share across workers.
-Parameter defaults are the plant's published data sheet values; the two
-constants the sheet omits (charge coefficient, chamber volume) carry
-documented defaults and are configurable.
+Parameter defaults are the plant's published data sheet values; the one
+constant the sheet omits (the charge coefficient) carries a documented
+default and is configurable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from . import units
 
@@ -55,11 +54,9 @@ class PlantParams:
     membrane_cost_coeff: float = 203142.0  # $/um
     lf_membrane_coeff: float = 1.388  # $ per kmol H2 produced
     extra_energy_coeff: float = 10.0  # kWh per kg H2
-    energy_per_kmol: float = 10.0  # kWh/kmol, consistency estimate only
     plant_power_max: float = 110000.0  # kW
     chamber_pressure_h2: float = 1.0  # bar, quasi-steady default
     chamber_pressure_o2: float = 1.0  # bar
-    chamber_volume: float = 1.0  # m3, used only in inventory pressure mode
     faraday_constant: float = FARADAY
     gas_constant: float = GAS_CONSTANT
 
@@ -111,11 +108,9 @@ _POSITIVE_FIELDS = (
     "membrane_cost_coeff",
     "lf_membrane_coeff",
     "extra_energy_coeff",
-    "energy_per_kmol",
     "plant_power_max",
     "chamber_pressure_h2",
     "chamber_pressure_o2",
-    "chamber_volume",
     "faraday_constant",
     "gas_constant",
 )
@@ -187,8 +182,6 @@ class PlantState:
     membrane_um: float
     storage_kmol: float
     clock: datetime
-    chamber_h2_mol: float = 0.0  # used only in inventory pressure mode
-    chamber_o2_mol: float = 0.0
 
     def validate(self, p: PlantParams) -> "PlantState":
         if not 0.0 < self.membrane_um <= p.membrane_thickness_initial:
@@ -283,49 +276,3 @@ class CostLedger:
     electricity_usd: float = 0.0
     membrane_usd: float = 0.0
     h2_ton: float = 0.0
-
-    def add(self, elec_usd: float, mem_usd: float, h2_ton: float) -> "CostLedger":
-        if mem_usd < 0.0:
-            raise ParamError("membrane_usd: per-step membrane cost cannot be negative")
-        if h2_ton < 0.0:
-            raise ParamError("h2_ton: production cannot decrease")
-        return CostLedger(
-            self.electricity_usd + elec_usd,
-            self.membrane_usd + mem_usd,
-            self.h2_ton + h2_ton,
-        )
-
-
-# serialization ------------------------------------------------------------
-
-def to_dict(obj) -> dict:
-    """Serialize any domain record to plain JSON-compatible types."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, datetime):
-            v = v.isoformat()
-        elif isinstance(v, date):
-            v = v.isoformat()
-        elif isinstance(v, tuple):
-            v = list(v)
-        out[f.name] = v
-    return out
-
-
-def from_dict(cls, payload: dict):
-    """Inverse of :func:`to_dict` for the domain types above."""
-    kwargs = dict(payload)
-    for f in dataclasses.fields(cls):
-        if f.name not in kwargs:
-            continue
-        v = kwargs[f.name]
-        if f.name == "clock":
-            kwargs[f.name] = datetime.fromisoformat(v)
-        elif f.name == "start":
-            kwargs[f.name] = datetime.fromisoformat(v)
-        elif f.name == "day":
-            kwargs[f.name] = date.fromisoformat(v)
-        elif isinstance(v, list):
-            kwargs[f.name] = tuple(v)
-    return cls(**kwargs)

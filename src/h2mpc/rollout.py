@@ -26,14 +26,14 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
 from . import electrolyzer, ocp, units
-from .market import settle
+from .market import settle, step_in_day
 from .params import ControlAction, CostLedger, DamCommitment, PlantParams, PlantState, PriceSeries
 from .solver import SolverConfig, solve
 
@@ -156,19 +156,10 @@ def _prefix_fsum(values: list[float]) -> list[float]:
     return [math.fsum(values[: i + 1]) for i in range(len(values))]
 
 
-@dataclass(frozen=True)
-class RolloutConfig:
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    pressure_mode: str = "configured"
-    warm_start: bool = True
-    # CO misses the supply setpoint by 0.014% by construction; optimizing
-    # strategies carry the equality in their model and must hit it tightly
-    setpoint_tol_kmolhr: float | None = None
-    # recourse headroom the commitment solves keep against the storage
-    # box (0.5% of capacity); without it a frozen schedule can plan the
-    # plant exactly onto the cap and drift strands it there
-    commitment_storage_margin_kmol: float = 35.0
-
+# recourse headroom the commitment solves keep against the storage box
+# (0.5% of capacity); without it a frozen schedule can plan the plant
+# exactly onto the cap and drift strands it there
+COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
 
 # cold re-solves tried in order when a step's solve is unusable; each of
 # them converges from the start point that wedged the default settings at
@@ -195,16 +186,12 @@ def _fallback_action(
     previous current and settle the power gap on the real-time market;
     hf-ss, with real-time trading pinned to zero, bisects the current at
     which plant power meets the commitment (power rises with current).
-    Plant power uses the configured chamber pressures, as the controller
-    problem does.
+    Plant power comes from the same model the simulator steps.
     """
     temp = prev.temperature_k
 
     def power_mw(current: float) -> float:
-        kw = electrolyzer.plant_power(
-            current, temp, state.membrane_um,
-            p.chamber_pressure_h2, p.chamber_pressure_o2, p,
-        )
+        kw = electrolyzer.stack_point(temp, current, state.membrane_um, p).p_kw
         return float(kw) / 1000.0
 
     if strategy is ocp.StrategyKind.HF_SS:
@@ -243,7 +230,6 @@ def run(
     start_day: date,
     end_day: date,
     p: PlantParams,
-    cfg: RolloutConfig | None = None,
 ) -> TrajectoryLog:
     """Roll the closed loop from start_day 00:00 through end_day 23:45.
 
@@ -251,7 +237,6 @@ def run(
     solve or the first step's bootstrap) is usable: no commitment is
     frozen from a failed solve.
     """
-    cfg = cfg or RolloutConfig()
     if end_day < start_day:
         raise RolloutError("end day precedes start day")
     start_ts = datetime(start_day.year, start_day.month, start_day.day)
@@ -272,14 +257,14 @@ def run(
     prev_x: np.ndarray | None = None
     prev_action: ControlAction | None = None
 
-    setpoint_tol = cfg.setpoint_tol_kmolhr
-    if setpoint_tol is None:
-        setpoint_tol = 1e-3 * p.h2_setpoint if strategy is ocp.StrategyKind.CO else 1e-4
+    # CO misses the supply setpoint by 0.014% by construction; optimizing
+    # strategies carry the equality in their model and must hit it tightly
+    setpoint_tol = 1e-3 * p.h2_setpoint if strategy is ocp.StrategyKind.CO else 1e-4
 
     for k in range(n_steps):
         ts = start_ts + timedelta(minutes=k * units.STEP_MINUTES)
         day = ts.date()
-        sid = ts.hour * units.STEPS_PER_HOUR + ts.minute // 15
+        sid = step_in_day(ts)
 
         bootstrap = sid == 0 and day not in commitments
         if sid == units.COMMITMENT_STEP:
@@ -291,10 +276,9 @@ def run(
         for t in range(horizon):
             ts_t = ts + timedelta(minutes=t * units.STEP_MINUTES)
             day_t = ts_t.date()
-            sid_t = ts_t.hour * units.STEPS_PER_HOUR + ts_t.minute // 15
             com = commitments.get(day_t)
             if com is not None:
-                dam_fixed.append(com.mw_at_step(sid_t))
+                dam_fixed.append(com.mw_at_step(step_in_day(ts_t)))
             elif bootstrap or (sid == units.COMMITMENT_STEP and day_t > day):
                 dam_fixed.append(None)
             else:
@@ -309,34 +293,23 @@ def run(
             step_in_day0=sid,
             p=p,
             abs_step0=k,
-            commitment_storage_margin_kmol=cfg.commitment_storage_margin_kmol,
+            commitment_storage_margin_kmol=COMMITMENT_STORAGE_MARGIN_KMOL,
         )
 
         # a warm start only makes sense when this problem is the previous
         # one shifted by one step; horizon jumps (the 09:00 commitment
         # solve and midnight) change the problem structure and warm points
         # wedge the barrier method instead of helping it
-        warm = (
-            cfg.warm_start
-            and prev_prob is not None
-            and prev_x is not None
-            and prev_prob.horizon == prob.horizon + 1
-        )
+        warm = prev_prob is not None and prev_prob.horizon == prob.horizon + 1
         if warm:
             x0 = ocp.warm_start_from(prob, prev_prob, prev_x)
-            warm_cfg = replace(
-                cfg.solver,
-                initialization="warm",
-                max_iterations=min(cfg.solver.max_iterations, 400),
-            )
-            sol = solve(prob, x0, warm_cfg)
+            sol = solve(prob, x0, SolverConfig(initialization="warm", max_iterations=400))
         if not warm or not sol.ok:
-            cold_cfg = replace(cfg.solver, initialization="cold")
-            sol = solve(prob, ocp.cold_start(prob), cold_cfg)
+            sol = solve(prob, ocp.cold_start(prob), SolverConfig())
             for overrides in _RETRY_LADDER:
                 if _usable(sol):
                     break
-                sol = solve(prob, ocp.cold_start(prob), replace(cold_cfg, **overrides))
+                sol = solve(prob, ocp.cold_start(prob), SolverConfig(**overrides))
 
         flagged = not sol.ok
         usable = _usable(sol)
@@ -355,12 +328,16 @@ def run(
 
         if sid == units.COMMITMENT_STEP:
             tomorrow = day + timedelta(days=1)
+            first = units.STEPS_PER_DAY - units.COMMITMENT_STEP  # tomorrow 00:00
             block = [
-                float(sol.x[prob.idx["p_dam"][60 + 4 * h]]) for h in range(24)
+                float(sol.x[prob.idx["p_dam"][first + units.STEPS_PER_HOUR * h]])
+                for h in range(24)
             ]
             commitments[tomorrow] = DamCommitment(day=tomorrow, hourly_mw=tuple(block))
         if bootstrap:
-            block = [float(sol.x[prob.idx["p_dam"][4 * h]]) for h in range(24)]
+            block = [
+                float(sol.x[prob.idx["p_dam"][units.STEPS_PER_HOUR * h]]) for h in range(24)
+            ]
             commitments[day] = DamCommitment(day=day, hourly_mw=tuple(block))
 
         try:
@@ -369,7 +346,6 @@ def run(
                 action,
                 units.STEP_MINUTES,
                 p,
-                pressure_mode=cfg.pressure_mode,
                 setpoint_tol_kmolhr=setpoint_tol,
             )
         except electrolyzer.StepViolation as exc:
@@ -420,8 +396,8 @@ def _verify_ledger(log: TrajectoryLog) -> None:
 
 
 def _run_one(args) -> TrajectoryLog:
-    strategy, initial_state, dam, rtm, start_day, end_day, p, cfg = args
-    return run(ocp.StrategyKind(strategy), initial_state, dam, rtm, start_day, end_day, p, cfg)
+    strategy, initial_state, dam, rtm, start_day, end_day, p = args
+    return run(ocp.StrategyKind(strategy), initial_state, dam, rtm, start_day, end_day, p)
 
 
 def compare(
@@ -432,7 +408,6 @@ def compare(
     start_day: date,
     end_day: date,
     p: PlantParams,
-    cfg: RolloutConfig | None = None,
 ) -> dict[str, TrajectoryLog]:
     """Run several strategies on identical inputs, step-aligned.
 
@@ -441,7 +416,7 @@ def compare(
     """
     workers = int(os.environ.get("H2MPC_THREADS", "1"))
     jobs = [
-        (s.value, initial_state, dam_series, rtm_series, start_day, end_day, p, cfg)
+        (s.value, initial_state, dam_series, rtm_series, start_day, end_day, p)
         for s in strategies
     ]
     if workers > 1 and len(strategies) > 1:

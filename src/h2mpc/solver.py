@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,8 +35,6 @@ class SolverConfig:
     initialization: str = "cold"  # "cold" | "warm"
     obj_scale: float = 1.0e-4
     mu0: float | None = None  # default picked from initialization mode
-    verbose: bool = False
-    iteration_log_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kkt_tolerance <= 0.0 or self.feasibility_tolerance <= 0.0:
@@ -377,7 +374,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             if alpha < 1.0e-14:
                 break
         if not accepted:
-            status = "restoration_failed" if feas_raw > cfg.feasibility_tolerance else "line_search_failed"
+            status = "line_search_failed"
             break
 
         z_new = z + alpha * dz
@@ -398,11 +395,6 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         log.append(
             IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas_raw)
         )
-        if cfg.verbose:
-            print(
-                f"  it {it:4d}  mu {mu:9.2e}  merit {merit_after:14.6e}  "
-                f"alpha {alpha:8.2e}  kkt {kkt0:9.2e}  feas {feas_raw:9.2e}"
-            )
 
     if status == "optimal" and m:
         z = _feasibility_polish(nlp, z, cfg.feasibility_tolerance)
@@ -421,7 +413,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     x_final = nlp.x_full(z)
     obj_final, _ = prob.objective_and_gradient(x_final)
 
-    result = SolveResult(
+    return SolveResult(
         x=x_final,
         objective=obj_final,
         kkt_residual=kkt_final,
@@ -430,9 +422,6 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         status=status,
         log=log,
     )
-    if cfg.iteration_log_path:
-        _write_iteration_log(cfg.iteration_log_path, log)
-    return result
 
 
 def solve(prob: OcpProblem, init: np.ndarray, cfg: SolverConfig) -> OcpSolution:
@@ -602,13 +591,3 @@ def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.n
             break
         z = z_t
     return z
-
-
-def _write_iteration_log(path: str, log: list[IterationRecord]) -> None:
-    lines = ["iteration,mu,merit_before,merit_after,alpha,kkt_residual,feasibility"]
-    for rec in log:
-        lines.append(
-            f"{rec.iteration},{rec.mu!r},{rec.merit_before!r},{rec.merit_after!r},"
-            f"{rec.alpha!r},{rec.kkt_residual!r},{rec.feasibility!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -26,27 +26,13 @@ def mol_s_to_kmol_hr(rate_mol_s: float) -> float:
     return rate_mol_s * 3600.0 / 1000.0
 
 
-def kmol_hr_to_mol_s(rate_kmol_hr: float) -> float:
-    """kmol/hr -> mol/s."""
-    return rate_kmol_hr * 1000.0 / 3600.0
-
-
 def kmol_to_ton_h2(n_kmol: float) -> float:
     """kmol of H2 -> metric tons of H2."""
     return n_kmol * MOLAR_MASS_H2 / 1000.0
 
 
-def kmol_hr_to_kg_hr(rate_kmol_hr: float) -> float:
-    """kmol/hr of H2 -> kg/hr."""
-    return rate_kmol_hr * MOLAR_MASS_H2
-
-
 def kw_to_mw(p_kw: float) -> float:
     return p_kw / 1000.0
-
-
-def mw_to_kw(p_mw: float) -> float:
-    return p_mw * 1000.0
 
 
 def um_to_cm(thickness_um: float) -> float:
@@ -55,12 +41,3 @@ def um_to_cm(thickness_um: float) -> float:
 
 def m2_to_cm2(area_m2: float) -> float:
     return area_m2 * 1.0e4
-
-
-def pa_to_bar(p_pa: float) -> float:
-    return p_pa / 1.0e5
-
-
-def energy_mwh(p_mw: float, hours: float) -> float:
-    """Constant power in MW over a duration in hours -> MWh."""
-    return p_mw * hours

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
-Everything here deliberately avoids the package's own evaluation paths:
-Horner evaluation for the thinning polynomial, plain finite differences,
-and a vectorized exhaustive grid enumeration for tiny control problems.
+Everything here avoids the package's evaluation paths except the plant
+model itself (``electrolyzer.stack_point``): Horner evaluation for the
+thinning polynomial, plain finite differences, and a vectorized
+exhaustive grid enumeration for tiny control problems.
 """
 
 import numpy as np
@@ -52,7 +53,7 @@ def euler_consistent_point(prob, rng):
     else:
         eps_for_power = np.full(H, prob.eps_const_um)
 
-    p_kw = el.plant_power(x[idx["current"]], x[idx["temp"]], eps_for_power, 1.0, 1.0, p)
+    p_kw = el.stack_point(x[idx["temp"]], x[idx["current"]], eps_for_power, p).p_kw
     dam_mask = prob.ub[idx["p_dam"]] - prob.lb[idx["p_dam"]] <= 0.0
     x[idx["p_dam"]] = np.where(dam_mask, prob.lb[idx["p_dam"]], 55.0)
     x[idx["p_rtm"]] = p_kw / 1000.0 - x[idx["p_dam"]]
@@ -85,14 +86,14 @@ def brute_force_h2(prob, p, n_pts=10):
         gen = p.h2_kmol_hr_per_amp * I
         el_plant = gen - S_in
         stor_out = p.h2_setpoint - el_plant
-        vb = el.total_voltage(T, I, eps, 1.0, 1.0, p)
-        p_kw = el.plant_power(I, T, eps, 1.0, 1.0, p)
+        sp = el.stack_point(T, I, eps, p)
+        p_kw = sp.p_kw
         rate = el.degradation_rate(T, I / p.membrane_area_cm2)
         ok = (
             (el_plant >= 0.0)
             & (stor_out >= 0.0)
-            & (vb.v_total >= p.voltage_min)
-            & (vb.v_total <= p.voltage_max)
+            & (sp.v_tot >= p.voltage_min)
+            & (sp.v_tot <= p.voltage_max)
             & (p_kw >= 0.1 * p.plant_power_max)
             & (p_kw <= p.plant_power_max)
         )

@@ -159,6 +159,7 @@ class TestCriterion4BruteForce:
               "within one cell in (T, I)")
 
 
+@pytest.mark.slow
 class TestCriterion5FeasibleSetDominance:
     def test_hf_ms_cheaper_than_hf_ss(self, week_logs):
         logs, _ = week_logs
@@ -170,6 +171,7 @@ class TestCriterion5FeasibleSetDominance:
         ok(5, f"HF-MS total ${total_ms:,.0f} <= HF-SS total ${total_ss:,.0f}")
 
 
+@pytest.mark.slow
 class TestCriterion6StrategyOrdering:
     def test_week_ordering_and_lcoh_report(self, week_logs):
         logs, _ = week_logs
@@ -205,6 +207,7 @@ class TestCriterion7Arbitrage:
         ok(7, f"sold back up to {-min(spike_rtm):.1f} MW during the $500 spike")
 
 
+@pytest.mark.slow
 class TestCriterion8ClosedLoopInvariants:
     def test_invariants_over_every_rollout(self, week_logs, params, week_state):
         logs, _ = week_logs
@@ -245,6 +248,7 @@ class TestCriterion8ClosedLoopInvariants:
               "commitments respected, ledgers settle")
 
 
+@pytest.mark.slow
 class TestCriterion9Kde:
     def test_kde_normalization_and_mode(self, week_logs):
         logs, _ = week_logs
@@ -269,6 +273,7 @@ class TestCriterion9Kde:
               f"|rate| {mode_rate:.2e} <= trajectory median {median_rate:.2e}")
 
 
+@pytest.mark.slow
 class TestCriterion10Determinism:
     def test_rerun_is_byte_identical(self, week_logs, params, week_prices, week_state, tmp_path_factory):
         logs, first_dir = week_logs
@@ -285,6 +290,7 @@ class TestCriterion10Determinism:
         ok(10, "all four week-long trajectory CSVs byte-identical on re-run")
 
 
+@pytest.mark.slow
 class TestWarmStartGuard:
     """Solver module invariant, benchmarked on the week's first day."""
 

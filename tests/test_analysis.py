@@ -189,15 +189,3 @@ class TestKde:
         log = synthetic_log([(353.15, 40000.0, 1, 1, 0.1)] * 5)
         with pytest.raises(ValueError, match="at least 2"):
             analysis.kde_current_density(log, 343.15)
-
-
-class TestHistogram2d:
-    def test_counts(self):
-        rows = [(343.15, 30000.0, 1, 1, 0.1)] * 3 + [(352.9, 60000.0, 1, 1, 0.1)] * 2
-        log = synthetic_log(rows)
-        hist = analysis.operating_histogram_2d(
-            log, t_edges=[342.0, 348.0, 354.0], j_edges=[0.0, 1.0, 1.4]
-        )
-        assert hist[0, 0] == 3  # cool, moderate current density
-        assert hist[1, 1] == 2  # hot, high current density
-        assert hist.sum() == 5

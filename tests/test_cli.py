@@ -101,7 +101,7 @@ class TestRun:
         real_solve = rollout.solve
 
         def failing_solve(prob, init, cfg):
-            return dataclasses.replace(real_solve(prob, init, cfg), status="restoration_failed")
+            return dataclasses.replace(real_solve(prob, init, cfg), status="line_search_failed")
 
         monkeypatch.setattr(rollout, "solve", failing_solve)
         dam, rtm = write_price_files(tmp_path)

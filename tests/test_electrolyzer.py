@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import euler_consistent_point
 from h2mpc import electrolyzer as el
-from h2mpc import units
-from h2mpc.params import ControlAction, PlantParams, PlantState
+from h2mpc import ocp, units
+from h2mpc.params import ControlAction, ParamError, PlantParams, PlantState, validate_params
 
 
 def horner_rate(t, j):
@@ -25,7 +26,6 @@ def horner_rate(t, j):
 class TestGenerationRates:
     def test_zero_current(self, params):
         assert el.h2_generation_rate(0.0, params) == 0.0
-        assert el.o2_generation_rate(0.0, params) == 0.0
 
     def test_max_current_oracle(self, params):
         # hand evaluation of n*I*eta/(2F)
@@ -42,17 +42,9 @@ class TestGenerationRates:
             800 * 35260 * 0.95 / (2 * 96485), abs=1e-9
         )
 
-    @given(st.floats(min_value=0.0, max_value=65000.0))
-    @settings(max_examples=50, deadline=None)
-    def test_stoichiometric_ratio(self, current):
-        p = PlantParams()
-        assert el.o2_generation_rate(current, p) == 0.5 * el.h2_generation_rate(current, p)
-
     def test_negative_current_rejected(self, params):
         with pytest.raises(ValueError):
             el.h2_generation_rate(-1.0, params)
-        with pytest.raises(ValueError):
-            el.o2_generation_rate(-1.0, params)
 
 
 class TestVoltages:
@@ -65,21 +57,26 @@ class TestVoltages:
         # I equal to rho_I * A (consistent units) makes the log vanish
         i0 = params.exchange_current_density * params.membrane_area_cm2
         assert i0 == pytest.approx(0.5)
-        assert el.activation_voltage(343.15, i0, params) == pytest.approx(0.0, abs=1e-15)
+        assert el.stack_point(343.15, i0, 178.0, params).v_act == pytest.approx(0.0, abs=1e-15)
 
     def test_activation_voltage_regression_anchor(self, params):
         # standalone arithmetic: (R*T)/(2*F*C) * ln(I / 0.5)
         expected = (8.314 * 343.15) / (2 * 96485 * 0.5) * math.log(35260.0 / 0.5)
-        assert el.activation_voltage(343.15, 35260.0, params) == pytest.approx(expected, rel=1e-12)
+        got = el.stack_point(343.15, 35260.0, 178.0, params).v_act
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_activation_voltage_monotone_in_current(self, params):
         currents = np.linspace(8000.0, 65000.0, 40)
-        vals = el.activation_voltage(343.15, currents, params)
+        vals = el.stack_point(343.15, currents, 178.0, params).v_act
         assert np.all(np.diff(vals) > 0)
 
-    def test_activation_voltage_rejects_nonpositive_current(self, params):
-        with pytest.raises(ValueError):
-            el.activation_voltage(343.15, 0.0, params)
+    def test_activation_voltage_rejects_nonpositive_current(self, params, state):
+        # the logarithm's domain is guarded where an action enters the plant:
+        # the admissible current box starts well above zero
+        assert params.current_bounds()[0] > 0.0
+        act = ControlAction(10.0, 0.0, 343.15, 0.0, 0.0, 0.0, 500.0)
+        with pytest.raises(ValueError, match="current"):
+            el.step(state, act, 15.0, params)
 
     def test_membrane_conductivity_oracle(self, params):
         # exponential term is exactly 1 at 303 K
@@ -92,40 +89,35 @@ class TestVoltages:
         assert el.membrane_conductivity(313.0, p) == pytest.approx(0.0, abs=1e-15)
         assert el.membrane_conductivity(353.0, p) == pytest.approx(0.0, abs=1e-15)
 
-    def test_partial_pressures(self):
-        p_h2, p_o2 = el.partial_pressures(0.0, 0.0, 343.15, 1.0)
-        assert p_h2 == 0.0 and p_o2 == 0.0
-        # ideal-gas inversion: N for exactly 1 bar in 1 m3 at 343.15 K
-        n_for_1bar = 1.0e5 * 1.0 / (8.314 * 343.15)
-        p_h2, _ = el.partial_pressures(n_for_1bar, 0.0, 343.15, 1.0)
-        assert p_h2 == pytest.approx(1.0, rel=1e-12)
-        p2, _ = el.partial_pressures(2 * n_for_1bar, 0.0, 343.15, 1.0)
-        assert p2 == pytest.approx(2.0 * p_h2, rel=1e-12)
-        with pytest.raises(ValueError):
-            el.partial_pressures(1.0, 1.0, 343.15, 0.0)
-
     def test_open_circuit_at_unit_pressures(self, params):
-        assert el.open_circuit_voltage(350.0, 1.0, 1.0, params) == el.reversible_potential(350.0)
+        assert params.chamber_pressure_h2 == params.chamber_pressure_o2 == 1.0
+        v_oc = el.stack_point(350.0, 35260.0, 178.0, params).v_oc
+        assert v_oc == el.reversible_potential(350.0)
 
     def test_open_circuit_nernst_term(self, params):
         expected = el.reversible_potential(353.15) + (8.314 * 353.15) / (2 * 96485) * math.log(2.0)
-        got = el.open_circuit_voltage(353.15, 2.0, 1.0, params)
+        p2 = replace(params, chamber_pressure_h2=2.0)
+        got = el.stack_point(353.15, 35260.0, 178.0, p2).v_oc
         assert got == pytest.approx(expected, rel=1e-12)
-        assert el.open_circuit_voltage(353.15, 2.0, 1.5, params) > got
+        p3 = replace(p2, chamber_pressure_o2=1.5)
+        assert el.stack_point(353.15, 35260.0, 178.0, p3).v_oc > got
 
     def test_open_circuit_rejects_bad_pressure(self, params):
-        with pytest.raises(ValueError):
-            el.open_circuit_voltage(353.15, 0.0, 1.0, params)
+        # the Nernst logarithm's domain is guarded by parameter validation
+        with pytest.raises(ParamError, match="chamber_pressure_h2"):
+            validate_params(replace(params, chamber_pressure_h2=0.0))
 
     def test_ohmic_voltage(self, params):
-        assert el.ohmic_voltage(0.0, 178.0, 343.15, params) == 0.0
+        def v_ohm(current, eps):
+            return el.stack_point(343.15, current, eps, params).v_ohm
+
         # standalone arithmetic: I * eps_cm / (A_cm2 * beta)
         beta = 0.0687 * math.exp(1268.0 * (1.0 / 303.0 - 1.0 / 343.15))
         expected = 35260.0 * 0.0178 / (50000.0 * beta)
-        assert el.ohmic_voltage(35260.0, 178.0, 343.15, params) == pytest.approx(expected, rel=1e-12)
+        assert v_ohm(35260.0, 178.0) == pytest.approx(expected, rel=1e-12)
         # linear in current and thickness
-        assert el.ohmic_voltage(2 * 35260.0, 178.0, 343.15, params) == pytest.approx(2 * expected, rel=1e-12)
-        assert el.ohmic_voltage(35260.0, 89.0, 343.15, params) == pytest.approx(expected / 2, rel=1e-12)
+        assert v_ohm(2 * 35260.0, 178.0) == pytest.approx(2 * expected, rel=1e-12)
+        assert v_ohm(35260.0, 89.0) == pytest.approx(expected / 2, rel=1e-12)
 
     @given(
         st.floats(min_value=343.0, max_value=353.0),
@@ -135,44 +127,40 @@ class TestVoltages:
     @settings(max_examples=50, deadline=None)
     def test_total_voltage_sum_identity(self, t, current, eps):
         p = PlantParams()
-        vb = el.total_voltage(t, current, eps, 1.0, 1.0, p)
-        assert vb.v_total == vb.v_act + vb.v_oc + vb.v_ohm
+        sp = el.stack_point(t, current, eps, p)
+        assert sp.v_tot == sp.v_act + sp.v_oc + sp.v_ohm
 
     def test_total_voltage_in_bounds_at_nominal(self, params):
         # nominal point: j = 7052 A/m2 -> I = 35260 A
-        vb = el.total_voltage(343.15, 35260.0, 178.0, 1.0, 1.0, params)
-        assert vb.in_bounds
-        assert params.voltage_min < vb.v_total < params.voltage_max
+        v_tot = el.stack_point(343.15, 35260.0, 178.0, params).v_tot
+        assert params.voltage_min < v_tot < params.voltage_max
 
     def test_total_voltage_flags_low_current(self, params):
         # at the raw current-density floor the stack still sits inside the
-        # voltage box; the flag trips at genuinely small currents
+        # voltage box; it leaves the box only at genuinely small currents
         low_i = params.current_density_min * params.membrane_area
-        vb = el.total_voltage(343.15, low_i, 178.0, 1.0, 1.0, params)
-        assert vb.v_total == pytest.approx(1.5466, abs=1e-3)
-        assert vb.in_bounds
-        tiny = el.total_voltage(343.15, 50.0, 178.0, 1.0, 1.0, params)
-        assert tiny.v_total < params.voltage_min
-        assert not tiny.in_bounds
+        v_low = el.stack_point(343.15, low_i, 178.0, params).v_tot
+        assert v_low == pytest.approx(1.5466, abs=1e-3)
+        assert params.voltage_min <= v_low <= params.voltage_max
+        assert el.stack_point(343.15, 50.0, 178.0, params).v_tot < params.voltage_min
+
+
+def plant_power(current, params):
+    return el.stack_point(343.15, current, 178.0, params).p_kw
 
 
 class TestPlantPower:
-    def test_zero_current(self, params):
-        assert el.plant_power(0.0, 343.15, 178.0, 1.0, 1.0, params) == 0.0
-
     def test_electrochemical_term_scale(self, params):
         # at 65 kA and a representative 2.0 V the stack term alone is 104 MW,
         # consistent with the 110 MW plant cap
         assert 2.0 * 65000.0 * 800 / 1e6 == pytest.approx(104.0)
-        p_kw = el.plant_power(65000.0, 343.15, 178.0, 1.0, 1.0, params)
-        assert 90000.0 < p_kw < 120000.0
+        assert 90000.0 < plant_power(65000.0, params) < 120000.0
 
     def test_auxiliary_power_oracle(self, params):
         # 10 kWh/kg at 500 kmol/hr (= 1008 kg/hr) is 10080 kW
         current = 500.0 / params.h2_kmol_hr_per_amp
-        vb = el.total_voltage(343.15, current, 178.0, 1.0, 1.0, params)
-        p_kw = el.plant_power(current, 343.15, 178.0, 1.0, 1.0, params)
-        p_extra = p_kw - vb.v_total * current * 800 / 1000.0
+        sp = el.stack_point(343.15, current, 178.0, params)
+        p_extra = sp.p_kw - sp.v_tot * current * 800 / 1000.0
         assert p_extra == pytest.approx(10080.0, rel=1e-9)
 
 
@@ -205,15 +193,10 @@ class TestDegradationRate:
         j = np.linspace(0.1, 1.3, 60)[None, :]
         assert np.all(el.degradation_rate(t, j) < 0.0)
 
-    def test_bounds_flag(self, params):
-        assert el.degradation_rate_bounds_ok(343.15, 1.0, params)
-        assert not el.degradation_rate_bounds_ok(343.15, 1.5, params)
-        assert not el.degradation_rate_bounds_ok(360.0, 1.0, params)
-
 
 def co_action(params, p_rtm=0.0, p_dam=None) -> ControlAction:
     gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(3.526e4, params))
-    power_kw = el.plant_power(3.526e4, 343.15, 178.0, 1.0, 1.0, params)
+    power_kw = plant_power(3.526e4, params)
     dam = power_kw / 1000.0 - p_rtm if p_dam is None else p_dam
     return ControlAction(
         p_dam_mw=dam,
@@ -240,7 +223,7 @@ class TestStep:
         current = 500.0 / params.h2_kmol_hr_per_amp
         x = 80.0
         act = ControlAction(
-            p_dam_mw=el.plant_power(current, 343.15, 178.0, 1.0, 1.0, params) / 1000.0,
+            p_dam_mw=plant_power(current, params) / 1000.0,
             p_rtm_mw=0.0,
             temperature_k=343.15,
             current_a=current,
@@ -255,7 +238,7 @@ class TestStep:
         i_at_jmax = 1.3 * params.membrane_area_cm2  # 65 kA
         gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(i_at_jmax, params))
         act = ControlAction(
-            p_dam_mw=el.plant_power(i_at_jmax, 343.15, 178.0, 1.0, 1.0, params) / 1000.0,
+            p_dam_mw=plant_power(i_at_jmax, params) / 1000.0,
             p_rtm_mw=0.0,
             temperature_k=343.15,
             current_a=i_at_jmax,
@@ -312,16 +295,24 @@ class TestStep:
         full = PlantState(178.0, params.storage_max, datetime(2022, 1, 3))
         gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(65000.0, params))
         act = ControlAction(
-            el.plant_power(65000.0, 343.15, 178.0, 1.0, 1.0, params) / 1000.0,
+            plant_power(65000.0, params) / 1000.0,
             0.0, 343.15, 65000.0, 500.0, gen - 500.0, 0.0,
         )
         with pytest.raises(el.StepViolation, match="storage"):
             el.step(full, act, 15.0, params)
 
-    def test_inventory_pressure_mode(self, params, state):
-        s = replace(state, chamber_h2_mol=35.05, chamber_o2_mol=17.5)
-        res = el.step(s, co_action(params), 15.0, params, pressure_mode="inventory")
-        # generation equals outflow, so inventories stay put
-        assert res.state.chamber_h2_mol == pytest.approx(s.chamber_h2_mol, abs=1e-9)
-        with pytest.raises(ValueError, match="pressure mode"):
-            el.step(s, co_action(params), 15.0, params, pressure_mode="bogus")
+
+class TestOneModel:
+    def test_simulator_power_equals_controller_power(self, params, state):
+        # the simulator and the high-fidelity controller evaluate one model,
+        # so the applied step's plant power is the controller's to the bit
+        rng = np.random.default_rng(7)
+        prob = ocp.build(
+            ocp.StrategyKind.HF_MS, state, [55.0] * 4, [30.0] * 4, [30.0] * 4, 0, params
+        )
+        row = prob.m_eq + prob.rg_names.index("plant_power[0]")
+        for _ in range(200):
+            x = euler_consistent_point(prob, rng)
+            action = prob.extract_actions(x)[0]
+            res = el.step(state, action, 15.0, params)
+            assert res.power_kw == prob.constraints_residual(x)[row]

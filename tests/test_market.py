@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2mpc import market
-from h2mpc.market import MarketClock, PriceFileError, load_price_csv, power_balance, settle
+from h2mpc import market, units
+from h2mpc.market import PriceFileError, load_price_csv, power_balance, settle, step_in_day
 from h2mpc.params import ControlAction
 
 
@@ -148,16 +148,14 @@ class TestSettle:
         )
 
 
-class TestMarketClock:
-    def test_steps(self):
-        assert MarketClock(datetime(2022, 1, 3, 0, 0)).step_in_day == 0
-        assert MarketClock(datetime(2022, 1, 3, 23, 45)).step_in_day == 95
-        clock = MarketClock(datetime(2022, 1, 3, 9, 0))
-        assert clock.step_in_day == 36
-        assert clock.is_commitment_step
-        assert not MarketClock(datetime(2022, 1, 3, 9, 15)).is_commitment_step
-
-    def test_steps_to_midnight(self):
-        assert MarketClock(datetime(2022, 1, 3, 0, 0)).steps_to_midnight == 96
-        assert MarketClock(datetime(2022, 1, 3, 23, 45)).steps_to_midnight == 1
-        assert MarketClock(datetime(2022, 1, 3, 9, 0)).steps_to_midnight == 60
+@pytest.mark.parametrize(
+    "hour,minute,step,to_midnight",
+    [(0, 0, 0, 96), (0, 15, 1, 95), (9, 0, units.COMMITMENT_STEP, 60), (9, 15, 37, 59),
+     (23, 45, 95, 1)],
+    ids=["00:00", "00:15", "09:00", "09:15", "23:45"],
+)
+def test_step_in_day(hour, minute, step, to_midnight):
+    sid = step_in_day(datetime(2022, 1, 3, hour, minute))
+    assert sid == step
+    # the steps left in the day, counting this one, size a same-day horizon
+    assert units.STEPS_PER_DAY - sid == to_midnight

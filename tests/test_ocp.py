@@ -56,9 +56,7 @@ def euler_consistent_point(prob, rng):
     else:
         eps_for_power = np.full(H, prob.eps_const_um)
 
-    p_kw = el.plant_power(
-        x[idx["current"]], x[idx["temp"]], eps_for_power, 1.0, 1.0, p
-    )
+    p_kw = el.stack_point(x[idx["temp"]], x[idx["current"]], eps_for_power, p).p_kw
     dam_mask = prob.ub[idx["p_dam"]] - prob.lb[idx["p_dam"]] <= 0.0
     x[idx["p_dam"]] = np.where(dam_mask, prob.lb[idx["p_dam"]], 55.0)
     if prob.strategy is StrategyKind.HF_SS:

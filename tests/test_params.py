@@ -5,15 +5,12 @@ import pytest
 
 from h2mpc.params import (
     ControlAction,
-    CostLedger,
     DamCommitment,
     ParamError,
     PlantParams,
     PlantState,
     PriceSeries,
-    from_dict,
     load_params,
-    to_dict,
     validate_params,
 )
 
@@ -130,26 +127,9 @@ def test_dam_commitment_invariants():
         DamCommitment(date(2022, 1, 4), (-1.0,) + (40.0,) * 23)
 
 
-def test_cost_ledger_monotonicity():
-    led = CostLedger().add(120.0, 30.0, 0.5).add(-200.0, 0.0, 0.4)
-    assert led.electricity_usd == pytest.approx(-80.0)
-    assert led.h2_ton == pytest.approx(0.9)
-    with pytest.raises(ParamError):
-        led.add(0.0, -1.0, 0.0)
-    with pytest.raises(ParamError):
-        led.add(0.0, 0.0, -0.1)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        PlantParams(),
-        PlantState(150.0, 3000.0, datetime(2022, 2, 1, 12, 30), 10.0, 5.0),
-        ControlAction(40.0, -5.5, 350.0, 40000.0, 400.0, 167.1, 100.0),
-        PriceSeries(datetime(2022, 1, 1), 15, (1.0, -2.0, 3.5)),
-        DamCommitment(date(2022, 1, 4), tuple(float(h) for h in range(24))),
-        CostLedger(10.0, 20.0, 0.3),
-    ],
-)
-def test_serialization_round_trip(obj):
-    assert from_dict(type(obj), to_dict(obj)) == obj
+@pytest.mark.parametrize("key", ["chamber_volume", "energy_per_kmol"])
+def test_config_rejects_removed_fields(tmp_path, key):
+    cfg = tmp_path / "plant.cfg"
+    cfg.write_text(f"{key} = 1.0\n")
+    with pytest.raises(ParamError, match=f"unknown parameter '{key}'"):
+        load_params(cfg)

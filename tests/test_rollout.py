@@ -8,7 +8,7 @@ import pytest
 from h2mpc import electrolyzer as el
 from h2mpc import market, ocp, rollout, units
 from h2mpc.params import PlantParams, PlantState, PriceSeries
-from h2mpc.rollout import RolloutConfig, RolloutError, TrajectoryLog
+from h2mpc.rollout import RolloutError, TrajectoryLog
 
 START = date(2022, 1, 3)
 
@@ -182,7 +182,7 @@ def fail_solves_at(monkeypatch, abs_step):
         if prob.abs_step0 != abs_step:
             return sol
         attempts.append(cfg)
-        return dataclasses.replace(sol, status="restoration_failed")
+        return dataclasses.replace(sol, status="line_search_failed")
 
     monkeypatch.setattr(rollout, "solve", solve)
     return attempts

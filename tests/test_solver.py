@@ -121,14 +121,6 @@ class TestSolverContract:
         assert res.ok
         assert res.feasibility <= cfg.feasibility_tolerance
 
-    def test_iteration_log_csv(self, params, state, tmp_path):
-        path = tmp_path / "iters.csv"
-        prob = _electrolyzer_problem(params, state, H=6, seed=25)
-        minimize(prob, cold_start(prob), SolverConfig(iteration_log_path=str(path)))
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("iteration,mu,merit_before,merit_after,alpha")
-        assert len(lines) > 3
-
     def test_solution_mapping(self, params, state):
         prob = _electrolyzer_problem(params, state, H=4, seed=26)
         sol = solve(prob, cold_start(prob), SolverConfig())
@@ -181,14 +173,14 @@ class TestBruteForceOracle:
             gen = p.h2_kmol_hr_per_amp * I
             el_plant = gen - S_in
             stor_out = p.h2_setpoint - el_plant
-            vb = el.total_voltage(T, I, eps, 1.0, 1.0, p)
-            p_kw = el.plant_power(I, T, eps, 1.0, 1.0, p)
+            pt = el.stack_point(T, I, eps, p)
+            p_kw = pt.p_kw
             rate = el.degradation_rate(T, I / p.membrane_area_cm2)
             ok = (
                 (el_plant >= 0.0)
                 & (stor_out >= 0.0)
-                & (vb.v_total >= p.voltage_min)
-                & (vb.v_total <= p.voltage_max)
+                & (pt.v_tot >= p.voltage_min)
+                & (pt.v_tot <= p.voltage_max)
                 & (p_kw >= 0.1 * p.plant_power_max)
                 & (p_kw <= p.plant_power_max)
             )
