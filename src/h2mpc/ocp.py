@@ -110,10 +110,6 @@ class OcpProblem:
     def m_rg(self) -> int:
         return len(self.rg_lb)
 
-    def degrees_of_freedom(self) -> int:
-        free = int(np.sum(self.ub - self.lb > 0.0))
-        return free - self.m_eq
-
     def nonlinear_blocks(self) -> list[np.ndarray]:
         """Per-step variable groups entering the model nonlinearly.
 
@@ -267,42 +263,12 @@ class OcpProblem:
             for t in range(self.horizon)
         ]
 
-    def extract_states(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted (membrane um, storage kmol) trajectories, length H+1."""
-        stor = np.array(x[self.idx["stor"]])
-        if self.high_fidelity:
-            eps = np.array(x[self.idx["eps"]])
-        else:
-            eps = np.full(self.horizon + 1, self.eps_const_um)
-        return eps, stor
-
-    def dump_text(self) -> str:
-        """Human-readable problem listing for debugging."""
-        out = [
-            f"strategy {self.strategy.value}  horizon {self.horizon}  "
-            f"n {self.n}  eq {self.m_eq}  ranges {self.m_rg}  dof {self.degrees_of_freedom()}",
-            "variables (name lb ub [fixed]):",
-        ]
-        for i, name in enumerate(self.names):
-            fixed = "  fixed" if self.ub[i] - self.lb[i] <= 0.0 else ""
-            out.append(f"  {name}  {self.lb[i]:.6g}  {self.ub[i]:.6g}{fixed}")
-        out.append("equalities:")
-        out.extend(f"  {nm} = 0" for nm in self.eq_names)
-        out.append("ranges:")
-        out.extend(
-            f"  {lo:.6g} <= {nm} <= {hi:.6g}"
-            for nm, lo, hi in zip(self.rg_names, self.rg_lb, self.rg_ub)
-        )
-        return "\n".join(out)
-
 
 @dataclass(frozen=True)
 class OcpSolution:
     """Solver output mapped back onto the control layout."""
 
     actions: list[ControlAction]
-    eps_traj: np.ndarray
-    stor_traj: np.ndarray
     objective: float
     kkt_residual: float
     feasibility: float

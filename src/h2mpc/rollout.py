@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -153,7 +151,32 @@ class TrajectoryLog:
 
 
 def _prefix_fsum(values: list[float]) -> list[float]:
-    return [math.fsum(values[: i + 1]) for i in range(len(values))]
+    """Correctly rounded running sums, equal to fsum of each prefix.
+
+    Keeps the running total exactly as Shewchuk's non-overlapping partials
+    (the algorithm inside math.fsum), so each prefix costs one pass over a
+    few partials instead of over the whole prefix.
+    """
+    partials: list[float] = []
+    specials: list[float] = []  # inf and nan, which fsum resolves on its own
+    sums = []
+    for x in values:
+        if not math.isfinite(x):
+            specials.append(x)
+        else:
+            i = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+        sums.append(math.fsum(partials + specials))
+    return sums
 
 
 # recourse headroom the commitment solves keep against the storage box
@@ -395,11 +418,6 @@ def _verify_ledger(log: TrajectoryLog) -> None:
         )
 
 
-def _run_one(args) -> TrajectoryLog:
-    strategy, initial_state, dam, rtm, start_day, end_day, p = args
-    return run(ocp.StrategyKind(strategy), initial_state, dam, rtm, start_day, end_day, p)
-
-
 def compare(
     strategies: list[ocp.StrategyKind],
     initial_state: PlantState,
@@ -409,22 +427,11 @@ def compare(
     end_day: date,
     p: PlantParams,
 ) -> dict[str, TrajectoryLog]:
-    """Run several strategies on identical inputs, step-aligned.
-
-    Honors H2MPC_THREADS for one worker per strategy; output does not
-    depend on the worker count.
-    """
-    workers = int(os.environ.get("H2MPC_THREADS", "1"))
-    jobs = [
-        (s.value, initial_state, dam_series, rtm_series, start_day, end_day, p)
+    """Run several strategies on identical inputs, step-aligned."""
+    out = {
+        s.value: run(s, initial_state, dam_series, rtm_series, start_day, end_day, p)
         for s in strategies
-    ]
-    if workers > 1 and len(strategies) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(strategies))) as pool:
-            logs = list(pool.map(_run_one, jobs))
-    else:
-        logs = [_run_one(j) for j in jobs]
-    out = {s.value: log for s, log in zip(strategies, logs)}
+    }
     stamps = [log.timestamps for log in out.values()]
     if any(st != stamps[0] for st in stamps[1:]):
         raise RolloutError("strategy logs are not step-aligned")

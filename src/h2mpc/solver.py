@@ -87,6 +87,8 @@ class _ScaledNlp:
 
     z = [free variables / column scale ; range slacks / slack scale];
     equality residuals are row-scaled from the Jacobian at the start point.
+    The scaled Jacobian's sparsity is laid out once, from the start-point
+    evaluation; later evaluations only refill its values.
     """
 
     def __init__(self, prob, x0_full: np.ndarray, obj_scale: float):
@@ -113,29 +115,44 @@ class _ScaledNlp:
         self.lz = np.concatenate([lb[self.free] / self.dx, self.rg_lb / self.ds])
         self.uz = np.concatenate([ub[self.free] / self.dx, self.rg_ub / self.ds])
 
-        # row scaling from the start-point Jacobian (column-scaled)
-        res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0f / self.dx))
-        jac0 = (jac0.tocsc()[:, self.free] @ sp.diags(self.dx)).tocsr()
-        if jac0.shape[0] and jac0.nnz:
-            row_max = np.abs(jac0).max(axis=1).toarray().ravel()
-        else:
-            row_max = np.zeros(jac0.shape[0])
+        self.res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0f / self.dx))
+        m = self.m_eq + self.m_rg
+        self.jac_indptr = jac0.indptr.copy()
+        pos = -np.ones(len(lb), dtype=np.int64)
+        pos[self.free] = np.arange(self.n_free)
+        rows = np.repeat(np.arange(m), np.diff(jac0.indptr))
+        cols = pos[jac0.indices]
+        src = np.flatnonzero(cols >= 0)
+        col_scale = self.dx[cols[src]]
+
+        # row scaling from the start-point Jacobian's free columns
+        row_max = np.zeros(m)
+        np.maximum.at(row_max, rows[src], np.abs(jac0.data[src] * col_scale))
         self.row_scale = 1.0 / np.maximum(1.0, row_max)
-        self.res0 = res0
+
+        # reduced entries then the -ds slack block; each row lists its
+        # columns descending, the order the summations in J @ J.T follow
+        slack = np.arange(self.m_rg)
+        rows = np.concatenate([rows[src], self.m_eq + slack])
+        cols = np.concatenate([cols[src], self.n_free + slack])
+        order = np.lexsort((-cols, rows))
+        self.jac_src = np.concatenate([src, jac0.nnz + slack])[order]
+        self.jac_col_scale = np.concatenate([col_scale, np.ones(self.m_rg)])[order]
+        self.jac_row_scale = self.row_scale[rows[order]]
+        self.jac_layout = sp.csr_matrix(
+            (np.zeros(len(order)), cols[order], np.searchsorted(rows[order], np.arange(m + 1))),
+            shape=(m, self.nz),
+        )
+        # every evaluation's Jacobian shares these; they must never change
+        self.jac_layout.indices.flags.writeable = self.jac_layout.indptr.flags.writeable = False
 
         # nonlinear block structure mapped into reduced coordinates
-        full_blocks = prob.nonlinear_blocks() if hasattr(prob, "nonlinear_blocks") else None
         self.blocks: list[np.ndarray] = []
-        if full_blocks is None:
-            self.blocks = [np.arange(self.n_free, dtype=np.int64)]
-        else:
-            pos = -np.ones(len(lb), dtype=np.int64)
-            pos[self.free] = np.arange(self.n_free)
-            for blk in full_blocks:
-                reduced = pos[np.asarray(blk, dtype=np.int64)]
-                reduced = reduced[reduced >= 0]
-                if len(reduced):
-                    self.blocks.append(reduced)
+        for blk in prob.nonlinear_blocks():
+            reduced = pos[np.asarray(blk, dtype=np.int64)]
+            reduced = reduced[reduced >= 0]
+            if len(reduced):
+                self.blocks.append(reduced)
 
     # mappings --------------------------------------------------------
     def _x_full_from(self, zx: np.ndarray) -> np.ndarray:
@@ -159,26 +176,14 @@ class _ScaledNlp:
     def constraints(self, z: np.ndarray, need_jac: bool = True):
         x = self.x_full(z)
         if not need_jac:
-            if hasattr(self.prob, "constraints_residual"):
-                res = self.prob.constraints_residual(x)
-            else:
-                res, _ = self.prob.constraints_and_jacobian(x)
-            return self._scaled_residual(res, z), None
+            return self._scaled_residual(self.prob.constraints_residual(x), z), None
         res, jac = self.prob.constraints_and_jacobian(x)
-        c = self._scaled_residual(res, z)
-        jx = jac.tocsc()[:, self.free] @ sp.diags(self.dx)
-        if self.m_rg:
-            slack_block = sp.vstack(
-                [
-                    sp.csc_matrix((self.m_eq, self.m_rg)),
-                    sp.diags(-self.ds).tocsc(),
-                ]
-            )
-            jz = sp.hstack([jx, slack_block], format="csr")
-        else:
-            jz = jx.tocsr()
-        jz = sp.diags(self.row_scale) @ jz
-        return c, jz.tocsr()
+        if not np.array_equal(jac.indptr, self.jac_indptr):
+            raise ValueError("the constraint Jacobian's sparsity pattern changed during the solve")
+        vals = np.concatenate([jac.data, -self.ds])[self.jac_src]
+        data = self.jac_row_scale * (vals * self.jac_col_scale)
+        J = self.jac_layout
+        return self._scaled_residual(res, z), sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
 
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds
@@ -190,40 +195,19 @@ class _ScaledNlp:
 
     def unscaled_feasibility(self, z: np.ndarray) -> float:
         """Inf-norm of raw equality residuals and range-bound violations."""
-        x = self.x_full(z)
-        if hasattr(self.prob, "constraints_residual"):
-            res = self.prob.constraints_residual(x)
-        else:
-            res, _ = self.prob.constraints_and_jacobian(x)
-        worst = float(np.max(np.abs(res[: self.m_eq]))) if self.m_eq else 0.0
-        if self.m_rg:
-            rg = res[self.m_eq :]
-            viol = np.maximum(self.rg_lb - rg, rg - self.rg_ub)
-            worst = max(worst, float(np.max(np.maximum(viol, 0.0))))
-        return worst
+        res = self.prob.constraints_residual(self.x_full(z))
+        rg = res[self.m_eq :]
+        viol = np.maximum(self.rg_lb - rg, rg - self.rg_ub)
+        return max(float(np.max(np.abs(res[: self.m_eq]), initial=0.0)), float(np.max(viol, initial=0.0)))
 
 
 class _BlockBfgs:
     """Damped BFGS curvature, one small dense matrix per nonlinear block."""
 
-    def __init__(self, blocks: list[np.ndarray], nz: int):
+    def __init__(self, blocks: list[np.ndarray]):
         self.blocks = blocks
         self.mats = [np.eye(len(b)) for b in blocks]
         self.virgin = [True] * len(blocks)
-        rows, cols = [], []
-        for b in blocks:
-            r, c = np.meshgrid(b, b, indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-        self.rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        self.cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        self.nz = nz
-
-    def matrix(self) -> sp.csr_matrix:
-        if not self.blocks:
-            return sp.csr_matrix((self.nz, self.nz))
-        data = np.concatenate([m.ravel() for m in self.mats])
-        return sp.csr_matrix((data, (self.rows, self.cols)), shape=(self.nz, self.nz))
 
     def update(self, dz: np.ndarray, dgrad: np.ndarray) -> None:
         for i, (b, B) in enumerate(zip(self.blocks, self.mats)):
@@ -254,11 +238,45 @@ class _BlockBfgs:
             B += np.outer(y, y) / sy
 
 
+class _KktLayout:
+    """Sparsity of the barrier KKT matrix [[W + diag, J^T], [J, -delta_c I]].
+
+    W is the block-diagonal BFGS curvature. The (row, col) slots are fixed
+    per solve; each factorization only supplies values, and drops the ones
+    that come out zero, since SuperLU's column ordering follows the pattern.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], J: sp.csr_matrix):
+        m, nz = J.shape
+        n = nz + m
+        diag = np.arange(n)
+        j_rows = nz + np.repeat(np.arange(m), np.diff(J.indptr))
+        rows = [*(np.repeat(b, len(b)) for b in blocks), diag[:nz], j_rows, J.indices, diag[nz:]]
+        cols = [*(np.tile(b, len(b)) for b in blocks), diag[:nz], J.indices, j_rows, diag[nz:]]
+        keys, self.slot = np.unique(np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True)
+        self.indices = keys % n
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.shape = (n, n)
+
+    def matrix(self, bfgs: _BlockBfgs, h_diag: np.ndarray, J: sp.csr_matrix, delta_c: float) -> sp.csc_matrix:
+        # a block's diagonal and h_diag share slots and sum in list order
+        values = np.concatenate(
+            [*(B.ravel() for B in bfgs.mats), h_diag, J.data, J.data, np.full(J.shape[0], -delta_c)]
+        )
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
+        K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
+        K.eliminate_zeros()
+        return K
+
+
 def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     """Solve a problem exposing the OcpProblem evaluator surface.
 
     ``x0`` is a full-space start; fixed variables are forced to their
     pinned values, free ones are pushed strictly inside their bounds.
+    ``constraints_and_jacobian`` must return a CSR Jacobian whose sparsity
+    pattern is the same at every point: the solve lays it out once and
+    raises ValueError when an evaluation's pattern differs.
     """
     x0 = np.asarray(x0, dtype=float)
     if len(x0) != prob.n:
@@ -273,10 +291,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     mu_min = cfg.kkt_tolerance / 11.0
 
     # start point: map x0 in, initialize slacks at the range values
-    zx = x0[nlp.free] / nlp.dx
-    s0 = nlp.res0[nlp.m_eq :] / nlp.ds if nlp.m_rg else np.empty(0)
-    z = np.concatenate([zx, s0])
-    z = _push_interior(z, nlp.lz, nlp.uz, push)
+    z = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, push)
 
     has_lb = np.isfinite(nlp.lz)
     has_ub = np.isfinite(nlp.uz)
@@ -284,14 +299,12 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     vu = np.where(has_ub, mu / np.maximum(nlp.uz - z, 1.0e-12), 0.0)
 
     m = nlp.m_eq + nlp.m_rg
-    y = np.zeros(m)
-
     f, g = nlp.objective(z)
     c, J = nlp.constraints(z)
-    if m and J.nnz:
-        y = _least_squares_duals(g, J, vl, vu)
+    y = _least_squares_duals(g, J, vl, vu)
 
-    bfgs = _BlockBfgs(nlp.blocks, nlp.nz)
+    bfgs = _BlockBfgs(nlp.blocks)
+    kkt = _KktLayout(nlp.blocks, J)
     nu = 1.0
     tau = max(_TAU_MIN, 1.0 - mu)
     log: list[IterationRecord] = []
@@ -300,11 +313,11 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     it = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        gL = g + (J.T @ y if m else 0.0) - vl + vu
+        gL = g + J.T @ y - vl + vu
         sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
         sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
         comp0 = _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, 0.0)
-        feas_scaled = float(np.max(np.abs(c))) if m else 0.0
+        feas_scaled = float(np.max(np.abs(c), initial=0.0))
         kkt0 = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp0 / sc)
         feas_raw = nlp.unscaled_feasibility(z)
 
@@ -329,8 +342,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         grad_mu[has_lb] -= mu / (z[has_lb] - nlp.lz[has_lb])
         grad_mu[has_ub] += mu / (nlp.uz[has_ub] - z[has_ub])
 
-        W = bfgs.matrix()
-        dz, dy, delta_w = _solve_kkt(W, sigma, J, grad_mu, y, c, m, nlp.nz, delta_w)
+        dz, dy, delta_w = _solve_kkt(kkt, bfgs, sigma, J, grad_mu, y, c, delta_w)
         if dz is None:
             status = "singular_kkt"
             break
@@ -346,15 +358,15 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         alpha_vl = _dual_fraction(vl, dvl, tau, has_lb)
         alpha_vu = _dual_fraction(vu, dvu, tau, has_ub)
 
-        nu = max(nu, 1.05 * float(np.max(np.abs(y + dy))) + 0.01 if m else 1.0)
+        nu = max(nu, 1.05 * float(np.max(np.abs(y + dy), initial=0.0)) + 0.01)
         merit0 = _merit(f, z, c, mu, nu, nlp, has_lb, has_ub)
-        dmerit = float(grad_mu @ dz) - nu * (float(np.sum(np.abs(c))) if m else 0.0)
+        dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
         if dmerit >= 0.0:
             # quasi-Newton curvature was too weak for a descent direction;
             # fall back to a heavier penalty
             nu *= 10.0
             merit0 = _merit(f, z, c, mu, nu, nlp, has_lb, has_ub)
-            dmerit = float(grad_mu @ dz) - nu * (float(np.sum(np.abs(c))) if m else 0.0)
+            dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
 
         accepted = False
         alpha = alpha_max
@@ -379,9 +391,9 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
 
         z_new = z + alpha * dz
         c_t, J_t = nlp.constraints(z_new)
-        y_new = y + alpha * dy if m else y
-        gL_old_at_new_duals = g + (J.T @ y_new if m else 0.0)
-        gL_new = g_t + (J_t.T @ y_new if m else 0.0)
+        y_new = y + alpha * dy
+        gL_old_at_new_duals = g + J.T @ y_new
+        gL_new = g_t + J_t.T @ y_new
         bfgs.update(alpha * dz, gL_new - gL_old_at_new_duals)
 
         z = z_new
@@ -396,17 +408,17 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas_raw)
         )
 
-    if status == "optimal" and m:
+    if status == "optimal":
         z = _feasibility_polish(nlp, z, cfg.feasibility_tolerance)
         f, g = nlp.objective(z)
         c, J = nlp.constraints(z)
 
-    gL = g + (J.T @ y if m else 0.0) - vl + vu
+    gL = g + J.T @ y - vl + vu
     sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
     sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
     kkt_final = max(
-        float(np.max(np.abs(gL))) / sd if nlp.nz else 0.0,
-        float(np.max(np.abs(c))) if m else 0.0,
+        float(np.max(np.abs(gL), initial=0.0)) / sd,
+        float(np.max(np.abs(c), initial=0.0)),
         _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, 0.0) / sc,
     )
     feas_final = nlp.unscaled_feasibility(z)
@@ -427,12 +439,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
 def solve(prob: OcpProblem, init: np.ndarray, cfg: SolverConfig) -> OcpSolution:
     """Solve a controller problem and map the result onto the action layout."""
     res = minimize(prob, init, cfg)
-    actions = prob.extract_actions(res.x)
-    eps_traj, stor_traj = prob.extract_states(res.x)
     return OcpSolution(
-        actions=actions,
-        eps_traj=eps_traj,
-        stor_traj=stor_traj,
+        actions=prob.extract_actions(res.x),
         objective=res.objective,
         kkt_residual=res.kkt_residual,
         feasibility=res.feasibility,
@@ -517,38 +525,25 @@ def _least_squares_duals(g, J, vl, vu):
         y = spla.splu(JJt).solve(rhs)
     except RuntimeError:
         return np.zeros(m)
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1.0e3:
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > 1.0e3:
         return np.zeros(m)
     return y
 
 
-def _solve_kkt(W, sigma, J, grad_mu, y, c, m, nz, delta_w):
+def _solve_kkt(kkt, bfgs, sigma, J, grad_mu, y, c, delta_w):
     """Factor and solve the reduced barrier KKT system, regularizing on demand."""
-    if m:
-        rhs = np.concatenate([-(grad_mu + J.T @ y), -c])
-    else:
-        rhs = -grad_mu
+    nz = len(sigma)
+    rhs = np.concatenate([-(grad_mu + J.T @ y), -c])
     delta_c = 0.0
     for _ in range(12):
-        H = (W + sp.diags(sigma + delta_w)).tocsc()
-        if m:
-            K = sp.bmat(
-                [[H, J.T], [J, -delta_c * sp.identity(m) if delta_c else None]],
-                format="csc",
-            )
-        else:
-            K = H
         try:
-            lu = spla.splu(K)
-            step = lu.solve(rhs)
+            step = spla.splu(kkt.matrix(bfgs, sigma + delta_w, J, delta_c)).solve(rhs)
         except RuntimeError:
             delta_c = max(delta_c * 10.0, 1.0e-10)
             delta_w = max(delta_w * 10.0, 1.0e-8)
             continue
         if np.all(np.isfinite(step)):
-            dz = step[:nz]
-            dy = step[nz:] if m else np.empty(0)
-            return dz, dy, max(delta_w / 3.0, 0.0)
+            return step[:nz], step[nz:], max(delta_w / 3.0, 0.0)
         delta_c = max(delta_c * 10.0, 1.0e-10)
         delta_w = max(delta_w * 10.0, 1.0e-8)
     return None, None, delta_w
@@ -563,7 +558,7 @@ def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.n
     """
     for _ in range(3):
         c, J = nlp.constraints(z)
-        if float(np.max(np.abs(c))) < 1.0e-14 or nlp.unscaled_feasibility(z) <= feas_tol * 1e-3:
+        if float(np.max(np.abs(c), initial=0.0)) < 1.0e-14 or nlp.unscaled_feasibility(z) <= feas_tol * 1e-3:
             break
         interior = np.ones(nlp.nz, dtype=bool)
         fin_l = np.isfinite(nlp.lz)

@@ -83,7 +83,6 @@ class TestBuildStructure:
         assert sum(n.startswith("mass_split") for n in names) == 1
         assert prob.m_eq == 5
         assert prob.m_rg == 2
-        assert prob.degrees_of_freedom() >= 0
 
     def test_hf_ss_pins_every_rtm_variable(self, params, state):
         prob = make_problem(StrategyKind.HF_SS, state, params, H=8)
@@ -158,13 +157,6 @@ class TestBuildStructure:
             n.startswith(("storage_dyn", "thickness_dyn")) for n in prob.eq_names
         )
         assert free_states == dynamics == 2 * prob.horizon
-
-    def test_dump_lists_problem(self, params, state):
-        prob = make_problem(StrategyKind.HF_MS, state, params, H=2)
-        text = prob.dump_text()
-        assert "p_dam[0]" in text and "eps[2]" in text
-        assert "power_balance[1] = 0" in text
-        assert "voltage[0]" in text
 
 
 class TestEvaluators:

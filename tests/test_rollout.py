@@ -4,6 +4,8 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2mpc import electrolyzer as el
 from h2mpc import market, ocp, rollout, units
@@ -265,3 +267,29 @@ class TestCompare:
         tot_a = a.ledger().electricity_usd + a.ledger().membrane_usd
         tot_b = b.ledger().electricity_usd + b.ledger().membrane_usd
         assert tot_a <= tot_b + 1e-6
+
+
+_MIXED = st.one_of(
+    st.builds(lambda mant, exp: mant * 10.0**exp, st.floats(-1.0, 1.0), st.integers(-20, 20)),
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 2.0**-60]),
+)
+
+
+@given(st.lists(_MIXED, max_size=60), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_prefix_fsum_equals_fsum_of_each_prefix(values, rnd):
+    # every value also appears negated, so prefixes cancel across magnitudes
+    values = values + [-v for v in values]
+    rnd.shuffle(values)
+    expected = [math.fsum(values[: i + 1]) for i in range(len(values))]
+    assert [repr(v) for v in rollout._prefix_fsum(values)] == [repr(v) for v in expected]
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, math.inf, 2.0], [-math.inf, 1e300, 1e300], [3.0, math.nan, -3.0]]
+)
+def test_prefix_fsum_keeps_fsum_special_values(values):
+    expected = [math.fsum(values[: i + 1]) for i in range(len(values))]
+    assert [repr(v) for v in rollout._prefix_fsum(values)] == [repr(v) for v in expected]
+    with pytest.raises(ValueError):
+        rollout._prefix_fsum([*values, math.inf, -math.inf])

@@ -6,7 +6,7 @@ from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
-from h2mpc.solver import SolverConfig, minimize, solve
+from h2mpc.solver import SolverConfig, _BlockBfgs, _KktLayout, _ScaledNlp, minimize, solve
 
 INF = np.inf
 
@@ -33,9 +33,14 @@ class Quadratic:
     def objective_and_gradient(self, x):
         return 0.5 * x @ self.Q @ x - self.b @ x, self.Q @ x - self.b
 
+    def constraints_residual(self, x):
+        return np.concatenate([self.A @ x - self.d, self.rgA @ x])
+
     def constraints_and_jacobian(self, x):
-        res = np.concatenate([self.A @ x - self.d, self.rgA @ x])
-        return res, sp.csr_matrix(np.vstack([self.A, self.rgA]))
+        return self.constraints_residual(x), sp.csr_matrix(np.vstack([self.A, self.rgA]))
+
+    def nonlinear_blocks(self):
+        return [np.arange(self.n)]
 
 
 def raw_cfg(**kw):
@@ -126,7 +131,6 @@ class TestSolverContract:
         sol = solve(prob, cold_start(prob), SolverConfig())
         assert sol.ok
         assert len(sol.actions) == 4
-        assert len(sol.eps_traj) == 5 and len(sol.stor_traj) == 5
         for act in sol.actions:
             act.validate(params)
 
@@ -135,6 +139,98 @@ class TestSolverContract:
             SolverConfig(kkt_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(initialization="tepid")
+
+
+class TestSparsityLayout:
+    """Once-per-solve layouts against the matrices scipy's sparse constructors build."""
+
+    @staticmethod
+    def scaled_jacobian(nlp, jac):
+        jx = jac.tocsc()[:, nlp.free] @ sp.diags(nlp.dx)
+        slack = sp.vstack([sp.csc_matrix((nlp.m_eq, nlp.m_rg)), sp.diags(-nlp.ds).tocsc()])
+        return (sp.diags(nlp.row_scale) @ sp.hstack([jx, slack], format="csr")).tocsr()
+
+    @staticmethod
+    def commitment_problem(strategy, state, params):
+        # a 09:00 horizon: today's committed steps, then tomorrow's free
+        # day-ahead quantities tied hour by hour
+        sid = units.COMMITMENT_STEP
+        H = units.STEPS_PER_DAY - sid + units.STEPS_PER_DAY
+        dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
+        rng = np.random.default_rng(7)
+        return build(
+            strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H),
+            sid, params,
+        )
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    @pytest.mark.parametrize("commitment", [False, True])
+    def test_jacobian_equals_scipy_assembly(self, strategy, commitment, params, state):
+        if commitment:
+            prob = self.commitment_problem(strategy, state, params)
+            assert len(prob.tie_pairs) and np.any(prob.lb[prob.idx["p_dam"]] == 55.0)
+        else:
+            rng = np.random.default_rng(3)
+            prices = rng.uniform(15.0, 60.0, 12), rng.uniform(-10.0, 150.0, 12)
+            prob = build(strategy, state, [55.0] * 12, *prices, 0, params)
+        x0 = cold_start(prob)
+        nlp = _ScaledNlp(prob, x0, 1.0e-4)
+        _, jac0 = prob.constraints_and_jacobian(x0)
+        row_max = np.abs(jac0.tocsc()[:, nlp.free] @ sp.diags(nlp.dx)).max(axis=1).toarray().ravel()
+        assert np.array_equal(nlp.row_scale, 1.0 / np.maximum(1.0, row_max))
+
+        rng = np.random.default_rng(11)
+        x_moved = x0.copy()
+        x_moved[nlp.free] += 1e-3 * nlp.dx * rng.uniform(-1.0, 1.0, nlp.n_free)
+        for x in (x0, x_moved):
+            z = nlp.z_from_x_full(x, prob.constraints_residual(x)[prob.m_eq :])
+            _, J = nlp.constraints(z)
+            _, jac = prob.constraints_and_jacobian(nlp.x_full(z))
+            ref = self.scaled_jacobian(nlp, jac)
+            assert np.array_equal(J.indptr, ref.indptr)
+            assert np.array_equal(J.indices, ref.indices)
+            assert np.array_equal(J.data, ref.data)
+
+    @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
+    def test_kkt_matrix_equals_scipy_assembly(self, delta_c, params, state):
+        prob = self.commitment_problem(StrategyKind.HF_MS, state, params)
+        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4)
+        _, J = nlp.constraints(nlp.z_from_x_full(cold_start(prob), nlp.res0[prob.m_eq :]))
+        bfgs = _BlockBfgs(nlp.blocks)
+        rng = np.random.default_rng(5)
+        for B in bfgs.mats[::2]:  # dense curvature on some blocks, seeds elsewhere
+            R = rng.normal(size=B.shape)
+            B[:] = R @ R.T
+        h_diag = rng.uniform(0.0, 2.0, nlp.nz)
+        h_diag[::7] = 0.0
+        K = _KktLayout(nlp.blocks, J).matrix(bfgs, h_diag, J, delta_c)
+
+        rows = np.concatenate([np.repeat(b, len(b)) for b in nlp.blocks])
+        cols = np.concatenate([np.tile(b, len(b)) for b in nlp.blocks])
+        data = np.concatenate([B.ravel() for B in bfgs.mats])
+        W = sp.csr_matrix((data, (rows, cols)), shape=(nlp.nz, nlp.nz))
+        corner = -delta_c * sp.identity(J.shape[0]) if delta_c else None
+        ref = sp.bmat([[(W + sp.diags(h_diag)).tocsc(), J.T], [J, corner]], format="csc")
+        ref.sum_duplicates()
+        assert K.has_canonical_format
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        assert np.array_equal(K.data, ref.data)
+
+    def test_changed_jacobian_pattern_is_rejected(self):
+        class ShiftingPattern(Quadratic):
+            calls = 0
+
+            def constraints_and_jacobian(self, x):
+                self.calls += 1
+                res, jac = super().constraints_and_jacobian(x)
+                if self.calls > 1:
+                    jac = sp.csr_matrix(jac.toarray() * [1.0, 0.0])  # loses an entry
+                return res, jac
+
+        prob = ShiftingPattern(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], d=[2.0])
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            minimize(prob, np.array([9.0, -7.0]), raw_cfg())
 
 
 def _electrolyzer_problem(params, state, H, seed):
