@@ -4,7 +4,10 @@ Simultaneous (full discretization) transcription: per-step controls plus
 state variables, dynamics as equality constraints. Variables, bounds,
 equality residuals, nonlinear range constraints, objective, and exact
 first derivatives are all assembled here; the solver module only sees the
-generic evaluator surface.
+generic evaluator surface. Each constraint block is declared once, in
+``OcpProblem._row_blocks``: its name, residual and Jacobian terms. Row
+names, the residual vector and the Jacobian's CSR layout, fixed in
+``build``, are all read from that table.
 
 Strategy differences:
 
@@ -92,48 +95,40 @@ class OcpProblem:
     eps_const_um: float
     dam_price: np.ndarray
     rtm_price: np.ndarray
-    m_eq: int
-    eq_names: list[str]
     rg_lb: np.ndarray
     rg_ub: np.ndarray
-    rg_names: list[str]
     tie_pairs: np.ndarray  # (k, 2) free-DAM tie (t, t0) step pairs
-    _jac_rows: np.ndarray = field(repr=False, default=None)
-    _jac_cols: np.ndarray = field(repr=False, default=None)
+    # fixed by _fix_layout from the row table
+    m_eq: int = 0
+    eq_names: list[str] = field(default_factory=list)
+    rg_names: list[str] = field(default_factory=list)
+    _jac_order: np.ndarray = field(repr=False, default=None)
+    _jac_indices: np.ndarray = field(repr=False, default=None)
+    _jac_indptr: np.ndarray = field(repr=False, default=None)
 
     # ------------------------------------------------------------------
     @property
     def high_fidelity(self) -> bool:
         return self.strategy.high_fidelity
 
-    @property
-    def m_rg(self) -> int:
-        return len(self.rg_lb)
+    def _stack_columns(self) -> list[np.ndarray]:
+        """Columns of the stack-point inputs: temperature, current and
+        (high fidelity) the step's entry thickness."""
+        cols = [self.idx["temp"], self.idx["current"]]
+        if self.high_fidelity:
+            cols.append(self.idx["eps"][:-1])
+        return cols
 
     def nonlinear_blocks(self) -> list[np.ndarray]:
         """Per-step variable groups entering the model nonlinearly.
 
-        Only temperature, current, and (high fidelity) the step's entry
-        thickness appear in nonlinear expressions; everything else is
-        linear, which the solver's structured quasi-Newton exploits.
+        Only the stack-point inputs appear in nonlinear expressions;
+        everything else is linear, which the solver's structured
+        quasi-Newton exploits.
         """
-        blocks = []
-        for t in range(self.horizon):
-            ids = [self.idx["temp"][t], self.idx["current"][t]]
-            if self.high_fidelity:
-                ids.append(self.idx["eps"][t])
-            blocks.append(np.asarray(ids, dtype=np.int64))
-        return blocks
+        return list(np.column_stack(self._stack_columns()))
 
     # evaluation --------------------------------------------------------
-    def _physics(self, x: np.ndarray) -> electrolyzer.StackPoint:
-        idx = self.idx
-        if self.high_fidelity:
-            eps = x[idx["eps"]][:-1]
-        else:
-            eps = np.full(self.horizon, self.eps_const_um)
-        return electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps, self.params)
-
     def objective_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         self._check_finite(x, "variable")
         p = self.params
@@ -160,85 +155,115 @@ class OcpProblem:
             raise EvalError("objective is not finite")
         return obj, g
 
-    def constraints_residual(self, x: np.ndarray) -> np.ndarray:
-        """Residual vector only; the cheap path for line-search trials."""
-        return self._residual(x, self._physics(x))
+    def _row_blocks(self, x: np.ndarray) -> list[tuple[str, np.ndarray, list]]:
+        """The constraint rows, declared once: ``(name, residual, terms)`` per block.
 
-    def constraints_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-        """Residuals and sparse Jacobian, equalities first then ranges.
-
-        Equality rows equal zero when satisfied; range rows report the raw
-        constraint value, to be compared against rg_lb/rg_ub.
+        Blocks come in row order, equalities first, then the ``voltage`` and
+        ``plant_power`` ranges. Row i of a block has one Jacobian entry per
+        term ``(columns, partials)``: at column ``columns[i]``, with value
+        ``partials[i]`` (a scalar partial holds for every row). Equality
+        residuals vanish when satisfied; range rows hold the raw constraint
+        value, to be compared against rg_lb/rg_ub.
         """
-        ph = self._physics(x)
-        residual = self._residual(x, ph)
-        data = self._jacobian_data(x, ph)
-        jac = sp.csr_matrix(
-            (data, (self._jac_rows, self._jac_cols)), shape=(len(residual), self.n)
-        )
-        return residual, jac
-
-    def _residual(self, x: np.ndarray, ph: electrolyzer.StackPoint) -> np.ndarray:
         self._check_finite(x, "variable")
-        idx = self.idx
+        idx, p = self.idx, self.params
+        eps_in = x[idx["eps"][:-1]] if self.high_fidelity else np.full(self.horizon, self.eps_const_um)
+        ph = electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps_in, p)
+        dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
+        cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
+        stack = self._stack_columns()
+        dv_stack = [ph.dv_dT, ph.dv_dI, ph.dv_deps][: len(stack)]
+        dp_stack = [ph.dp_dT, ph.dp_dI, ph.dp_deps][: len(stack)]
 
-        gen = self.params.h2_kmol_hr_per_amp * x[idx["current"]]
-        res_parts = [
-            gen - x[idx["el_plant"]] - x[idx["stor_in"]],
-        ]
+        blocks = [(
+            "mass_split",
+            p.h2_kmol_hr_per_amp * x[cur] - x[el_plant] - x[s_in],
+            [(cur, p.h2_kmol_hr_per_amp), (el_plant, -1.0), (s_in, -1.0)],
+        )]
         if self.strategy is not StrategyKind.CO:
-            res_parts.append(
-                x[idx["el_plant"]] + x[idx["stor_out"]] - self.params.h2_setpoint
-            )
-        res_parts.append(x[idx["p_dam"]] + x[idx["p_rtm"]] - ph.p_kw / 1000.0)
-        stor = x[idx["stor"]]
-        res_parts.append(
-            stor[1:] - stor[:-1]
-            - units.STEP_HOURS * (x[idx["stor_in"]] - x[idx["stor_out"]])
-        )
+            blocks.append((
+                "setpoint", x[el_plant] + x[s_out] - p.h2_setpoint, [(el_plant, 1.0), (s_out, 1.0)],
+            ))
+        blocks.append((
+            "power_balance",
+            x[dam] + x[rtm] - ph.p_kw / 1000.0,
+            [(dam, 1.0), (rtm, 1.0)] + [(c, -d / 1000.0) for c, d in zip(stack, dp_stack)],
+        ))
+        blocks.append((
+            "storage_dyn",
+            x[stor[1:]] - x[stor[:-1]] - units.STEP_HOURS * (x[s_in] - x[s_out]),
+            [(stor[1:], 1.0), (stor[:-1], -1.0), (s_in, -units.STEP_HOURS), (s_out, units.STEP_HOURS)],
+        ))
         if self.high_fidelity:
-            eps = x[idx["eps"]]
-            res_parts.append(eps[1:] - eps[:-1] - units.STEP_MINUTES * ph.rate)
-        if len(self.tie_pairs):
-            res_parts.append(
-                x[idx["p_dam"][self.tie_pairs[:, 0]]] - x[idx["p_dam"][self.tie_pairs[:, 1]]]
-            )
-        res_parts.append(ph.v_tot)
-        res_parts.append(ph.p_kw)
-        residual = np.concatenate([np.atleast_1d(r) for r in res_parts])
+            eps = idx["eps"]
+            blocks.append((
+                "thickness_dyn",
+                x[eps[1:]] - x[eps[:-1]] - units.STEP_MINUTES * ph.rate,
+                [(eps[1:], 1.0), (eps[:-1], -1.0),
+                 (idx["temp"], -units.STEP_MINUTES * ph.drate_dT),
+                 (cur, -units.STEP_MINUTES * ph.drate_dI)],
+            ))
+        tied, anchor = dam[self.tie_pairs[:, 0]], dam[self.tie_pairs[:, 1]]
+        blocks.append(("dam_tie", x[tied] - x[anchor], [(tied, 1.0), (anchor, -1.0)]))
+        blocks.append(("voltage", ph.v_tot, list(zip(stack, dv_stack))))
+        blocks.append(("plant_power", ph.p_kw, list(zip(stack, dp_stack))))
+        return blocks
+
+    @staticmethod
+    def _stacked_residual(blocks) -> np.ndarray:
+        residual = np.concatenate([res for _, res, _ in blocks])
         if not np.all(np.isfinite(residual)):
             bad = int(np.flatnonzero(~np.isfinite(residual))[0])
             raise EvalError(f"constraint residual {bad} is not finite")
         return residual
 
-    def _jacobian_data(self, x: np.ndarray, ph: electrolyzer.StackPoint) -> np.ndarray:
-        """Values matching the fixed (rows, cols) pattern from build time."""
-        H = self.horizon
-        ones = np.ones(H)
-        parts = [self.params.h2_kmol_hr_per_amp * ones, -ones, -ones]  # mass split: I, el, in
-        if self.strategy is not StrategyKind.CO:
-            parts += [ones, ones]  # setpoint: el, out
-        balance = [ones, ones, -ph.dp_dT / 1000.0, -ph.dp_dI / 1000.0]
-        if self.high_fidelity:
-            balance.append(-ph.dp_deps / 1000.0)
-        parts += balance
-        parts += [ones, -ones, -units.STEP_HOURS * ones, units.STEP_HOURS * ones]
-        if self.high_fidelity:
-            parts += [
-                ones, -ones,
-                -units.STEP_MINUTES * ph.drate_dT,
-                -units.STEP_MINUTES * ph.drate_dI,
-            ]
-        if len(self.tie_pairs):
-            k = len(self.tie_pairs)
-            parts += [np.ones(k), -np.ones(k)]
-        voltage = [ph.dv_dT, ph.dv_dI]
-        power = [ph.dp_dT, ph.dp_dI]
-        if self.high_fidelity:
-            voltage.append(ph.dv_deps)
-            power.append(ph.dp_deps)
-        parts += voltage + power
-        return np.concatenate(parts)
+    def constraints_residual(self, x: np.ndarray) -> np.ndarray:
+        """Residual vector only; the cheap path for line-search trials."""
+        return self._stacked_residual(self._row_blocks(x))
+
+    def constraints_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+        """Residuals and CSR Jacobian, rows as ``_row_blocks`` declares them.
+
+        The Jacobian wraps the canonical layout ``build`` fixed, so every
+        point yields the same ``indices`` and ``indptr``.
+        """
+        blocks = self._row_blocks(x)
+        data = np.empty(len(self._jac_order))
+        at = 0
+        for _, res, terms in blocks:
+            for _, partials in terms:
+                data[at : at + len(res)] = partials
+                at += len(res)
+        shape = (len(self._jac_indptr) - 1, self.n)
+        jac = sp.csr_matrix((data[self._jac_order], self._jac_indices, self._jac_indptr), shape=shape)
+        return self._stacked_residual(blocks), jac
+
+    def _fix_layout(self) -> None:
+        """Name the rows and fix the Jacobian's canonical CSR layout.
+
+        One evaluation of the row table at the box midpoint gives every
+        entry's (row, column); their (row, column) sort order maps later
+        evaluations' partials, laid end to end in table order, onto that
+        layout. No entry repeats, so the layout is canonical CSR.
+        """
+        blocks = self._row_blocks(0.5 * (self.lb + self.ub))
+        names: list[str] = []
+        rows, cols = [], []
+        for name, res, terms in blocks:
+            block_rows = np.arange(len(names), len(names) + len(res))
+            names.extend(f"{name}[{i}]" for i in range(len(res)))
+            for columns, _ in terms:
+                rows.append(block_rows)
+                cols.append(columns)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        self._jac_order = np.argsort(rows * self.n + cols, kind="stable")
+        # int32, scipy's own choice at this size: it would copy int64 indices at every wrap
+        self._jac_indices = cols[self._jac_order].astype(np.int32)
+        self._jac_indptr = np.searchsorted(rows[self._jac_order], np.arange(len(names) + 1)).astype(np.int32)
+        # every returned Jacobian shares these; they must never change
+        self._jac_indices.flags.writeable = self._jac_indptr.flags.writeable = False
+        self.m_eq = len(names) - len(self.rg_lb)
+        self.eq_names, self.rg_names = names[: self.m_eq], names[self.m_eq :]
 
     def _check_finite(self, x: np.ndarray, what: str) -> None:
         if len(x) != self.n:
@@ -316,22 +341,16 @@ def build(
     state.validate(p)
 
     hf = strategy.high_fidelity
-    fields = ["p_dam", "p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"]
+    sizes = dict.fromkeys(["p_dam", "p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"], H)
+    sizes["stor"] = H + 1
+    if hf:
+        sizes["eps"] = H + 1
     idx: dict[str, np.ndarray] = {}
     names: list[str] = []
-    cursor = 0
-    for f_name in fields:
-        idx[f_name] = np.arange(cursor, cursor + H, dtype=np.int64)
-        names.extend(f"{f_name}[{t}]" for t in range(H))
-        cursor += H
-    idx["stor"] = np.arange(cursor, cursor + H + 1, dtype=np.int64)
-    names.extend(f"stor[{t}]" for t in range(H + 1))
-    cursor += H + 1
-    if hf:
-        idx["eps"] = np.arange(cursor, cursor + H + 1, dtype=np.int64)
-        names.extend(f"eps[{t}]" for t in range(H + 1))
-        cursor += H + 1
-    n = cursor
+    for f_name, size in sizes.items():
+        idx[f_name] = np.arange(len(names), len(names) + size, dtype=np.int64)
+        names.extend(f"{f_name}[{t}]" for t in range(size))
+    n = len(names)
 
     pmax_mw = units.kw_to_mw(p.plant_power_max)
     i_lo, i_hi = p.current_bounds()
@@ -400,17 +419,6 @@ def build(
             raise BuildError(f"hour block {hour} mixes committed and free DAM steps")
     tie_arr = np.asarray(tie_pairs, dtype=np.int64).reshape(-1, 2)
 
-    eq_names: list[str] = [f"mass_split[{t}]" for t in range(H)]
-    if strategy is not StrategyKind.CO:
-        eq_names += [f"setpoint[{t}]" for t in range(H)]
-    eq_names += [f"power_balance[{t}]" for t in range(H)]
-    eq_names += [f"storage_dyn[{t}]" for t in range(H)]
-    if hf:
-        eq_names += [f"thickness_dyn[{t}]" for t in range(H)]
-    eq_names += [f"dam_tie[{t}={t0}]" for t, t0 in tie_pairs]
-    m_eq = len(eq_names)
-
-    rg_names = [f"voltage[{t}]" for t in range(H)] + [f"plant_power[{t}]" for t in range(H)]
     rg_lb = np.concatenate([np.full(H, p.voltage_min), np.full(H, 0.1 * p.plant_power_max)])
     rg_ub = np.concatenate([np.full(H, p.voltage_max), np.full(H, p.plant_power_max)])
 
@@ -428,56 +436,12 @@ def build(
         eps_const_um=state.membrane_um,
         dam_price=dam_price,
         rtm_price=rtm_price,
-        m_eq=m_eq,
-        eq_names=eq_names,
         rg_lb=rg_lb,
         rg_ub=rg_ub,
-        rg_names=rg_names,
         tie_pairs=tie_arr,
     )
-    prob._jac_rows, prob._jac_cols = _jacobian_pattern(prob)
+    prob._fix_layout()
     return prob
-
-
-def _jacobian_pattern(prob: OcpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed sparsity pattern matching _jacobian_data's value order."""
-    H = prob.horizon
-    idx = prob.idx
-    steps = np.arange(H)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    row0 = 0
-
-    def block(cols_per_term: list[np.ndarray]) -> None:
-        nonlocal row0
-        for c in cols_per_term:
-            rows.append(row0 + steps)
-            cols.append(c)
-        row0 += H
-
-    block([idx["current"], idx["el_plant"], idx["stor_in"]])
-    if prob.strategy is not StrategyKind.CO:
-        block([idx["el_plant"], idx["stor_out"]])
-    bal = [idx["p_dam"], idx["p_rtm"], idx["temp"], idx["current"]]
-    if prob.high_fidelity:
-        bal.append(idx["eps"][:-1])
-    block(bal)
-    block([idx["stor"][1:], idx["stor"][:-1], idx["stor_in"], idx["stor_out"]])
-    if prob.high_fidelity:
-        block([idx["eps"][1:], idx["eps"][:-1], idx["temp"], idx["current"]])
-    if len(prob.tie_pairs):
-        k = len(prob.tie_pairs)
-        tie_rows = row0 + np.arange(k)
-        rows.append(tie_rows)
-        cols.append(idx["p_dam"][prob.tie_pairs[:, 0]])
-        rows.append(tie_rows)
-        cols.append(idx["p_dam"][prob.tie_pairs[:, 1]])
-        row0 += k
-    vol = [idx["temp"], idx["current"]] + ([idx["eps"][:-1]] if prob.high_fidelity else [])
-    block(vol)
-    pow_ = [idx["temp"], idx["current"]] + ([idx["eps"][:-1]] if prob.high_fidelity else [])
-    block(pow_)
-    return np.concatenate(rows), np.concatenate(cols)
 
 
 def cold_start(prob: OcpProblem) -> np.ndarray:
@@ -506,18 +470,13 @@ def warm_start_from(prob: OcpProblem, prev: OcpProblem, x_prev: np.ndarray) -> n
     Steps the previous solve did not cover keep the cold-start value.
     """
     x = cold_start(prob)
-    lo, hi = prev.abs_step0, prev.abs_step0 + prev.horizon
-    for f_name in ("p_dam", "p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"):
-        for t in range(prob.horizon):
-            s = prob.abs_step0 + t
-            if lo <= s < hi:
-                x[prob.idx[f_name][t]] = x_prev[prev.idx[f_name][s - lo]]
-    for t in range(prob.horizon + 1):
-        s = prob.abs_step0 + t
-        if lo <= s <= hi:
-            x[prob.idx["stor"][t]] = x_prev[prev.idx["stor"][s - lo]]
-            if prob.high_fidelity and prev.high_fidelity:
-                x[prob.idx["eps"][t]] = x_prev[prev.idx["eps"][s - lo]]
+    shift = prob.abs_step0 - prev.abs_step0
+    for f_name, new in prob.idx.items():
+        if f_name in prev.idx:
+            old = prev.idx[f_name]
+            lo = max(0, -shift)
+            hi = max(lo, min(len(new), len(old) - shift))
+            x[new[lo:hi]] = x_prev[old[lo + shift : hi + shift]]
     # fixed entries always win
     fixed = prob.ub - prob.lb <= 0.0
     x[fixed] = prob.lb[fixed]

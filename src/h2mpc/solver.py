@@ -11,8 +11,9 @@ an l1-penalty merit line search. Second-order information comes from
 damped BFGS updates on the per-step variable blocks the problem declares
 as nonlinear (exact Hessians are never formed).
 
-Everything is deterministic: identical (problem, start, config) yields an
-identical iterate sequence.
+Every variable and range bound must be finite; ``minimize`` rejects a
+problem with an infinite one. Everything is deterministic: identical
+(problem, start, config) yields an identical iterate sequence.
 """
 
 from __future__ import annotations
@@ -97,13 +98,8 @@ class _ScaledNlp:
         self.prob = prob
         self.obj_scale = obj_scale
         self.free = np.flatnonzero(ub - lb > 0.0)
-        self.x_template = np.where(np.isfinite(lb), lb, 0.0)
-        fixed = np.setdiff1d(np.arange(len(lb)), self.free)
-        self.x_template[fixed] = lb[fixed]
-
-        rng = ub[self.free] - lb[self.free]
-        x0f = x0_full[self.free]
-        self.dx = np.where(np.isfinite(rng), rng, np.maximum(1.0, np.abs(x0f)))
+        self.x_template = lb.copy()
+        self.dx = ub[self.free] - lb[self.free]
         self.m_eq = prob.m_eq
         self.rg_lb = np.asarray(prob.rg_lb, dtype=float)
         self.rg_ub = np.asarray(prob.rg_ub, dtype=float)
@@ -115,7 +111,7 @@ class _ScaledNlp:
         self.lz = np.concatenate([lb[self.free] / self.dx, self.rg_lb / self.ds])
         self.uz = np.concatenate([ub[self.free] / self.dx, self.rg_ub / self.ds])
 
-        self.res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0f / self.dx))
+        self.res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0_full[self.free] / self.dx))
         m = self.m_eq + self.m_rg
         self.jac_indptr = jac0.indptr.copy()
         pos = -np.ones(len(lb), dtype=np.int64)
@@ -174,16 +170,20 @@ class _ScaledNlp:
         return self.obj_scale * f, gz
 
     def constraints(self, z: np.ndarray, need_jac: bool = True):
+        """Scaled residual, scaled Jacobian (None without ``need_jac``) and
+        the raw infeasibility, all from one problem evaluation."""
         x = self.x_full(z)
         if not need_jac:
-            return self._scaled_residual(self.prob.constraints_residual(x), z), None
+            res = self.prob.constraints_residual(x)
+            return self._scaled_residual(res, z), None, self._infeasibility(res)
         res, jac = self.prob.constraints_and_jacobian(x)
         if not np.array_equal(jac.indptr, self.jac_indptr):
             raise ValueError("the constraint Jacobian's sparsity pattern changed during the solve")
         vals = np.concatenate([jac.data, -self.ds])[self.jac_src]
         data = self.jac_row_scale * (vals * self.jac_col_scale)
-        J = self.jac_layout
-        return self._scaled_residual(res, z), sp.csr_matrix((data, J.indices, J.indptr), shape=J.shape)
+        layout = self.jac_layout
+        J = sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
+        return self._scaled_residual(res, z), J, self._infeasibility(res)
 
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds
@@ -193,9 +193,8 @@ class _ScaledNlp:
         c *= self.row_scale
         return c
 
-    def unscaled_feasibility(self, z: np.ndarray) -> float:
+    def _infeasibility(self, res: np.ndarray) -> float:
         """Inf-norm of raw equality residuals and range-bound violations."""
-        res = self.prob.constraints_residual(self.x_full(z))
         rg = res[self.m_eq :]
         viol = np.maximum(self.rg_lb - rg, rg - self.rg_ub)
         return max(float(np.max(np.abs(res[: self.m_eq]), initial=0.0)), float(np.max(viol, initial=0.0)))
@@ -274,6 +273,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
 
     ``x0`` is a full-space start; fixed variables are forced to their
     pinned values, free ones are pushed strictly inside their bounds.
+    ``lb``/``ub`` and ``rg_lb``/``rg_ub`` must be finite: a non-finite
+    bound raises ValueError.
     ``constraints_and_jacobian`` must return a CSR Jacobian whose sparsity
     pattern is the same at every point: the solve lays it out once and
     raises ValueError when an evaluation's pattern differs.
@@ -283,6 +284,9 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         raise ValueError(f"start vector has length {len(x0)}, expected {prob.n}")
     lb_full = np.asarray(prob.lb, dtype=float)
     ub_full = np.asarray(prob.ub, dtype=float)
+    for bound in (lb_full, ub_full, prob.rg_lb, prob.rg_ub):
+        if not np.all(np.isfinite(bound)):
+            raise ValueError("every variable and range bound must be finite")
     x0 = np.minimum(np.maximum(x0, lb_full), ub_full)
     nlp = _ScaledNlp(prob, x0, cfg.obj_scale)
     warm = cfg.initialization == "warm"
@@ -293,14 +297,12 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     # start point: map x0 in, initialize slacks at the range values
     z = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, push)
 
-    has_lb = np.isfinite(nlp.lz)
-    has_ub = np.isfinite(nlp.uz)
-    vl = np.where(has_lb, mu / np.maximum(z - nlp.lz, 1.0e-12), 0.0)
-    vu = np.where(has_ub, mu / np.maximum(nlp.uz - z, 1.0e-12), 0.0)
+    vl = mu / np.maximum(z - nlp.lz, 1.0e-12)
+    vu = mu / np.maximum(nlp.uz - z, 1.0e-12)
 
     m = nlp.m_eq + nlp.m_rg
     f, g = nlp.objective(z)
-    c, J = nlp.constraints(z)
+    c, J, feas = nlp.constraints(z)
     y = _least_squares_duals(g, J, vl, vu)
 
     bfgs = _BlockBfgs(nlp.blocks)
@@ -316,56 +318,49 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         gL = g + J.T @ y - vl + vu
         sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
         sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
-        comp0 = _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, 0.0)
+        comp0 = _complementarity(z, vl, vu, nlp.lz, nlp.uz, 0.0)
         feas_scaled = float(np.max(np.abs(c), initial=0.0))
         kkt0 = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp0 / sc)
-        feas_raw = nlp.unscaled_feasibility(z)
 
-        if kkt0 <= cfg.kkt_tolerance and feas_raw <= cfg.feasibility_tolerance:
+        if kkt0 <= cfg.kkt_tolerance and feas <= cfg.feasibility_tolerance:
             status = "optimal"
             break
 
-        comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, mu)
+        comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu)
         kkt_mu = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp_mu / sc)
         while kkt_mu <= _KAPPA_EPS * mu and mu > mu_min:
             mu = max(mu_min, min(_KAPPA_MU * mu, mu**_THETA_MU))
             tau = max(_TAU_MIN, 1.0 - mu)
             nu = 1.0
-            comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, mu)
+            comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu)
             kkt_mu = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp_mu / sc)
 
         # primal-dual Newton direction on the barrier KKT system
-        sigma = np.zeros(nlp.nz)
-        sigma[has_lb] += vl[has_lb] / (z[has_lb] - nlp.lz[has_lb])
-        sigma[has_ub] += vu[has_ub] / (nlp.uz[has_ub] - z[has_ub])
-        grad_mu = g.copy()
-        grad_mu[has_lb] -= mu / (z[has_lb] - nlp.lz[has_lb])
-        grad_mu[has_ub] += mu / (nlp.uz[has_ub] - z[has_ub])
+        zl = z - nlp.lz
+        zu = nlp.uz - z
+        sigma = vl / zl + vu / zu
+        grad_mu = g - mu / zl + mu / zu
 
         dz, dy, delta_w = _solve_kkt(kkt, bfgs, sigma, J, grad_mu, y, c, delta_w)
         if dz is None:
             status = "singular_kkt"
             break
 
-        dvl = np.zeros_like(vl)
-        dvu = np.zeros_like(vu)
-        zl = z - nlp.lz
-        zu = nlp.uz - z
-        dvl[has_lb] = mu / zl[has_lb] - vl[has_lb] - vl[has_lb] * dz[has_lb] / zl[has_lb]
-        dvu[has_ub] = mu / zu[has_ub] - vu[has_ub] + vu[has_ub] * dz[has_ub] / zu[has_ub]
+        dvl = mu / zl - vl - vl * dz / zl
+        dvu = mu / zu - vu + vu * dz / zu
 
-        alpha_max = _fraction_to_boundary(z, dz, nlp.lz, nlp.uz, has_lb, has_ub, tau)
-        alpha_vl = _dual_fraction(vl, dvl, tau, has_lb)
-        alpha_vu = _dual_fraction(vu, dvu, tau, has_ub)
+        alpha_max = _fraction_to_boundary(z, dz, nlp.lz, nlp.uz, tau)
+        alpha_vl = _dual_fraction(vl, dvl, tau)
+        alpha_vu = _dual_fraction(vu, dvu, tau)
 
         nu = max(nu, 1.05 * float(np.max(np.abs(y + dy), initial=0.0)) + 0.01)
-        merit0 = _merit(f, z, c, mu, nu, nlp, has_lb, has_ub)
+        merit0 = _merit(f, z, c, mu, nu, nlp)
         dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
         if dmerit >= 0.0:
             # quasi-Newton curvature was too weak for a descent direction;
             # fall back to a heavier penalty
             nu *= 10.0
-            merit0 = _merit(f, z, c, mu, nu, nlp, has_lb, has_ub)
+            merit0 = _merit(f, z, c, mu, nu, nlp)
             dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
 
         accepted = False
@@ -377,8 +372,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         for _ in range(_MAX_BACKTRACKS):
             z_t = z + alpha * dz
             f_t, g_t = nlp.objective(z_t)
-            c_t, _ = nlp.constraints(z_t, need_jac=False)
-            merit_t = _merit(f_t, z_t, c_t, mu, nu, nlp, has_lb, has_ub)
+            c_t, _, _ = nlp.constraints(z_t, need_jac=False)
+            merit_t = _merit(f_t, z_t, c_t, mu, nu, nlp)
             if math.isfinite(merit_t) and merit_t <= merit0 + _ARMIJO_ETA * alpha * dmerit + noise:
                 accepted = True
                 break
@@ -390,7 +385,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
             break
 
         z_new = z + alpha * dz
-        c_t, J_t = nlp.constraints(z_new)
+        c_t, J_t, feas_t = nlp.constraints(z_new)
         y_new = y + alpha * dy
         gL_old_at_new_duals = g + J.T @ y_new
         gL_new = g_t + J_t.T @ y_new
@@ -400,18 +395,17 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         y = y_new
         vl = vl + alpha_vl * dvl
         vu = vu + alpha_vu * dvu
-        vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, mu)
+        vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
         f, g, c, J = f_t, g_t, c_t, J_t
 
-        merit_after = _merit(f, z, c, mu, nu, nlp, has_lb, has_ub)
-        log.append(
-            IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas_raw)
-        )
+        merit_after = _merit(f, z, c, mu, nu, nlp)
+        log.append(IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas))
+        feas = feas_t
 
     if status == "optimal":
         z = _feasibility_polish(nlp, z, cfg.feasibility_tolerance)
         f, g = nlp.objective(z)
-        c, J = nlp.constraints(z)
+        c, J, feas = nlp.constraints(z)
 
     gL = g + J.T @ y - vl + vu
     sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
@@ -419,9 +413,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     kkt_final = max(
         float(np.max(np.abs(gL), initial=0.0)) / sd,
         float(np.max(np.abs(c), initial=0.0)),
-        _complementarity(z, vl, vu, nlp.lz, nlp.uz, has_lb, has_ub, 0.0) / sc,
+        _complementarity(z, vl, vu, nlp.lz, nlp.uz, 0.0) / sc,
     )
-    feas_final = nlp.unscaled_feasibility(z)
     x_final = nlp.x_full(z)
     obj_final, _ = prob.objective_and_gradient(x_final)
 
@@ -429,7 +422,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         x=x_final,
         objective=obj_final,
         kkt_residual=kkt_final,
-        feasibility=feas_final,
+        feasibility=feas,
         iterations=it,
         status=status,
         log=log,
@@ -453,66 +446,50 @@ def solve(prob: OcpProblem, init: np.ndarray, cfg: SolverConfig) -> OcpSolution:
 # helpers ------------------------------------------------------------------
 
 def _push_interior(z, lz, uz, kappa):
-    width = np.where(np.isfinite(uz - lz), uz - lz, 2.0)
-    lo = np.where(np.isfinite(lz), lz + kappa * np.minimum(width, 1.0), -np.inf)
-    hi = np.where(np.isfinite(uz), uz - kappa * np.minimum(width, 1.0), np.inf)
+    width = uz - lz
+    lo = lz + kappa * np.minimum(width, 1.0)
+    hi = uz - kappa * np.minimum(width, 1.0)
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def _complementarity(z, vl, vu, lz, uz, has_lb, has_ub, mu):
-    worst = 0.0
-    if np.any(has_lb):
-        worst = max(worst, float(np.max(np.abs((z[has_lb] - lz[has_lb]) * vl[has_lb] - mu))))
-    if np.any(has_ub):
-        worst = max(worst, float(np.max(np.abs((uz[has_ub] - z[has_ub]) * vu[has_ub] - mu))))
-    return worst
+def _complementarity(z, vl, vu, lz, uz, mu):
+    return max(
+        float(np.max(np.abs((z - lz) * vl - mu), initial=0.0)),
+        float(np.max(np.abs((uz - z) * vu - mu), initial=0.0)),
+    )
 
 
-def _merit(f, z, c, mu, nu, nlp, has_lb, has_ub):
+def _merit(f, z, c, mu, nu, nlp):
+    gap_l = z - nlp.lz
+    gap_u = nlp.uz - z
+    if np.any(gap_l <= 0.0) or np.any(gap_u <= 0.0):
+        return math.inf
     barrier = 0.0
-    if np.any(has_lb):
-        gap = z[has_lb] - nlp.lz[has_lb]
-        if np.any(gap <= 0.0):
-            return math.inf
-        barrier -= mu * float(np.sum(np.log(gap)))
-    if np.any(has_ub):
-        gap = nlp.uz[has_ub] - z[has_ub]
-        if np.any(gap <= 0.0):
-            return math.inf
-        barrier -= mu * float(np.sum(np.log(gap)))
-    return f + barrier + nu * (float(np.sum(np.abs(c))) if len(c) else 0.0)
+    barrier -= mu * float(np.sum(np.log(gap_l)))
+    barrier -= mu * float(np.sum(np.log(gap_u)))
+    return f + barrier + nu * float(np.sum(np.abs(c)))
 
 
-def _fraction_to_boundary(z, dz, lz, uz, has_lb, has_ub, tau):
-    alpha = 1.0
-    neg = has_lb & (dz < 0.0)
-    if np.any(neg):
-        alpha = min(alpha, float(np.min(-tau * (z[neg] - lz[neg]) / dz[neg])))
-    pos = has_ub & (dz > 0.0)
-    if np.any(pos):
-        alpha = min(alpha, float(np.min(tau * (uz[pos] - z[pos]) / dz[pos])))
-    return max(min(alpha, 1.0), 0.0)
-
-
-def _dual_fraction(v, dv, tau, mask):
-    alpha = 1.0
-    neg = mask & (dv < 0.0)
-    if np.any(neg):
-        alpha = min(alpha, float(np.min(-tau * v[neg] / dv[neg])))
-    return max(min(alpha, 1.0), 0.0)
-
-
-def _dual_safeguard(z, vl, vu, lz, uz, has_lb, has_ub, mu):
-    vl = vl.copy()
-    vu = vu.copy()
-    gap_l = np.where(has_lb, np.maximum(z - lz, 1.0e-12), 1.0)
-    gap_u = np.where(has_ub, np.maximum(uz - z, 1.0e-12), 1.0)
-    vl[has_lb] = np.clip(
-        vl[has_lb], mu / (_KAPPA_SIGMA * gap_l[has_lb]), _KAPPA_SIGMA * mu / gap_l[has_lb]
+def _fraction_to_boundary(z, dz, lz, uz, tau):
+    neg = dz < 0.0
+    pos = dz > 0.0
+    alpha = min(
+        float(np.min(-tau * (z[neg] - lz[neg]) / dz[neg], initial=1.0)),
+        float(np.min(tau * (uz[pos] - z[pos]) / dz[pos], initial=1.0)),
     )
-    vu[has_ub] = np.clip(
-        vu[has_ub], mu / (_KAPPA_SIGMA * gap_u[has_ub]), _KAPPA_SIGMA * mu / gap_u[has_ub]
-    )
+    return max(alpha, 0.0)
+
+
+def _dual_fraction(v, dv, tau):
+    neg = dv < 0.0
+    return max(float(np.min(-tau * v[neg] / dv[neg], initial=1.0)), 0.0)
+
+
+def _dual_safeguard(z, vl, vu, lz, uz, mu):
+    gap_l = np.maximum(z - lz, 1.0e-12)
+    gap_u = np.maximum(uz - z, 1.0e-12)
+    vl = np.clip(vl, mu / (_KAPPA_SIGMA * gap_l), _KAPPA_SIGMA * mu / gap_l)
+    vu = np.clip(vu, mu / (_KAPPA_SIGMA * gap_u), _KAPPA_SIGMA * mu / gap_u)
     return vl, vu
 
 
@@ -557,15 +534,10 @@ def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.n
     and nonlinear rows contract quadratically.
     """
     for _ in range(3):
-        c, J = nlp.constraints(z)
-        if float(np.max(np.abs(c), initial=0.0)) < 1.0e-14 or nlp.unscaled_feasibility(z) <= feas_tol * 1e-3:
+        c, J, feas = nlp.constraints(z)
+        if float(np.max(np.abs(c), initial=0.0)) < 1.0e-14 or feas <= feas_tol * 1e-3:
             break
-        interior = np.ones(nlp.nz, dtype=bool)
-        fin_l = np.isfinite(nlp.lz)
-        fin_u = np.isfinite(nlp.uz)
-        interior[fin_l] &= z[fin_l] - nlp.lz[fin_l] > 1.0e-6
-        interior[fin_u] &= nlp.uz[fin_u] - z[fin_u] > 1.0e-6
-        cols = np.flatnonzero(interior)
+        cols = np.flatnonzero((z - nlp.lz > 1.0e-6) & (nlp.uz - z > 1.0e-6))
         if not len(cols):
             break
         Ji = J.tocsc()[:, cols]
@@ -577,12 +549,7 @@ def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.n
         dz_i = Ji.T @ w
         z_t = z.copy()
         z_t[cols] += dz_i
-        inside = True
-        if np.any(fin_l):
-            inside &= bool(np.all(z_t[fin_l] > nlp.lz[fin_l]))
-        if np.any(fin_u):
-            inside &= bool(np.all(z_t[fin_u] < nlp.uz[fin_u]))
-        if not inside:
+        if not (np.all(z_t > nlp.lz) and np.all(z_t < nlp.uz)):
             break
         z = z_t
     return z

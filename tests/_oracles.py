@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and problem shapes for the test suite.
 
 Everything here avoids the package's evaluation paths except the plant
 model itself (``electrolyzer.stack_point``): Horner evaluation for the
@@ -10,6 +10,17 @@ import numpy as np
 
 from h2mpc import electrolyzer as el
 from h2mpc import units
+from h2mpc.ocp import build
+
+
+def commitment_problem(strategy, state, p, seed=7):
+    """A 09:00 horizon: today's committed steps, then tomorrow's free
+    day-ahead quantities tied hour by hour."""
+    sid = units.COMMITMENT_STEP
+    H = units.STEPS_PER_DAY - sid + units.STEPS_PER_DAY
+    dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
+    rng = np.random.default_rng(seed)
+    return build(strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), sid, p)
 
 
 def horner_rate(t, j):

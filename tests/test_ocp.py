@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import commitment_problem
 from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import BuildError, StrategyKind, build, cold_start, warm_start_from
@@ -82,7 +83,7 @@ class TestBuildStructure:
         assert sum(n.startswith("setpoint") for n in names) == 1
         assert sum(n.startswith("mass_split") for n in names) == 1
         assert prob.m_eq == 5
-        assert prob.m_rg == 2
+        assert len(prob.rg_names) == len(prob.rg_lb) == 2
 
     def test_hf_ss_pins_every_rtm_variable(self, params, state):
         prob = make_problem(StrategyKind.HF_SS, state, params, H=8)
@@ -168,9 +169,10 @@ class TestEvaluators:
             res, _ = prob.constraints_and_jacobian(x)
             assert np.max(np.abs(res[: prob.m_eq])) < 1e-9, strat
 
-    def test_residual_only_path_matches(self, params, state):
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_residual_only_path_matches(self, strategy, params, state):
         rng = np.random.default_rng(6)
-        prob = make_problem(StrategyKind.HF_MS, state, params, H=6)
+        prob = make_problem(strategy, state, params, H=6)
         x = euler_consistent_point(prob, rng)
         res, _ = prob.constraints_and_jacobian(x)
         assert np.array_equal(prob.constraints_residual(x), res)
@@ -277,6 +279,50 @@ class TestEvaluators:
             prob.constraints_and_jacobian(x)
 
 
+class TestRowTable:
+    """Row names, residuals and the Jacobian layout come from one table."""
+
+    @staticmethod
+    def step_columns(prob, name):
+        """The variables a per-step row may touch, by the model's equations."""
+        kind, t = name.split("[")[0], int(name.split("[")[1].rstrip("]"))
+        stack = [f"temp[{t}]", f"current[{t}]"] + ([f"eps[{t}]"] if prob.high_fidelity else [])
+        return {
+            "power_balance": {f"p_dam[{t}]", f"p_rtm[{t}]", *stack},
+            "thickness_dyn": {f"eps[{t + 1}]", f"eps[{t}]", f"temp[{t}]", f"current[{t}]"},
+            "voltage": set(stack),
+        }[kind]
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_step_rows_touch_exactly_their_step(self, strategy, params, state):
+        prob = commitment_problem(strategy, state, params)
+        _, jac = prob.constraints_and_jacobian(cold_start(prob))
+        row_names = prob.eq_names + prob.rg_names
+        assert len(row_names) == jac.shape[0]
+        checked = 0
+        for row, name in enumerate(row_names):
+            if not name.startswith(("power_balance[", "thickness_dyn[", "voltage[")):
+                continue
+            cols = jac.indices[jac.indptr[row] : jac.indptr[row + 1]]
+            assert {prob.names[c] for c in cols} == self.step_columns(prob, name), name
+            checked += 1
+        assert checked == prob.horizon * (3 if prob.high_fidelity else 2)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_jacobian_layout_is_canonical_and_fixed(self, strategy, params, state):
+        prob = commitment_problem(strategy, state, params)
+        rng = np.random.default_rng(14)
+        x0 = cold_start(prob)
+        x1 = prob.lb + rng.uniform(0.0, 1.0, prob.n) * (prob.ub - prob.lb)
+        _, j0 = prob.constraints_and_jacobian(x0)
+        _, j1 = prob.constraints_and_jacobian(x1)
+        assert j0.has_canonical_format and j1.has_canonical_format
+        assert np.array_equal(j0.indices, j1.indices)
+        assert np.array_equal(j0.indptr, j1.indptr)
+        assert not np.array_equal(j0.data, j1.data)
+        assert j0.shape == (prob.m_eq + len(prob.rg_names), prob.n)
+
+
 class TestFeasibleSetInclusion:
     def test_hf_ms_never_worse_than_hf_ss(self, params, state):
         """Pinning the real-time variables only shrinks the feasible set."""
@@ -309,11 +355,18 @@ class TestStarts:
         a = make_problem(StrategyKind.HF_MS, state, params, H=6, step0=0)
         rng = np.random.default_rng(13)
         xa = euler_consistent_point(a, rng)
+        # one step later and one step longer: b's last step and last state
+        # lie beyond a's horizon
         b = build(
-            StrategyKind.HF_MS, state, [55.0] * 5,
-            a.dam_price[1:], a.rtm_price[1:], 1, params, abs_step0=1,
+            StrategyKind.HF_MS, state, [55.0] * 6,
+            np.full(6, 30.0), np.full(6, 40.0), 1, params, abs_step0=1,
         )
         xb = warm_start_from(b, a, xa)
-        for f in ("temp", "current", "el_plant"):
-            assert np.allclose(xb[b.idx[f]], xa[a.idx[f]][1:])
-        assert xb[b.idx["stor"][0]] == b.lb[b.idx["stor"][0]]  # pinned state wins
+        cold = cold_start(b)
+        for f in ("p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"):
+            assert np.array_equal(xb[b.idx[f]][:5], xa[a.idx[f]][1:]), f
+            assert xb[b.idx[f]][5] == cold[b.idx[f]][5], f
+        for f in ("stor", "eps"):
+            assert xb[b.idx[f]][0] == b.lb[b.idx[f]][0]  # pinned state wins
+            assert np.array_equal(xb[b.idx[f]][1:6], xa[a.idx[f]][2:]), f
+            assert xb[b.idx[f]][6] == cold[b.idx[f]][6], f

@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from _oracles import commitment_problem
 from h2mpc import electrolyzer as el
-from h2mpc import ocp, units
+from h2mpc import ocp
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
-from h2mpc.solver import SolverConfig, _BlockBfgs, _KktLayout, _ScaledNlp, minimize, solve
+from h2mpc.solver import (
+    _PUSH_COLD, SolverConfig, _BlockBfgs, _KktLayout, _ScaledNlp, _push_interior, minimize, solve,
+)
 
-INF = np.inf
+BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
 
 
 class Quadratic:
-    """min 0.5 x'Qx - b'x with optional equalities Ax = d, ranges, boxes."""
+    """min 0.5 x'Qx - b'x with optional equalities Ax = d, ranges, boxes (default +-BOX)."""
 
     def __init__(self, Q, b, lb=None, ub=None, A=None, d=None, rg=None):
         self.Q = np.asarray(Q, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.n = len(self.b)
-        self.lb = np.full(self.n, -INF) if lb is None else np.asarray(lb, dtype=float)
-        self.ub = np.full(self.n, INF) if ub is None else np.asarray(ub, dtype=float)
+        self.lb = np.full(self.n, -BOX) if lb is None else np.asarray(lb, dtype=float)
+        self.ub = np.full(self.n, BOX) if ub is None else np.asarray(ub, dtype=float)
         self.A = np.zeros((0, self.n)) if A is None else np.asarray(A, dtype=float)
         self.d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
         self.m_eq = len(self.d)
@@ -126,6 +129,23 @@ class TestSolverContract:
         assert res.ok
         assert res.feasibility <= cfg.feasibility_tolerance
 
+    @pytest.mark.parametrize("max_iterations", [3, 3000])
+    def test_feasibility_reported_where_measured(self, max_iterations, params, state):
+        # a record holds the feasibility at its iteration's start, the
+        # result the returned point's
+        prob = _electrolyzer_problem(params, state, H=10, seed=24)
+        x0 = cold_start(prob)
+        cfg = SolverConfig(max_iterations=max_iterations)
+        nlp = _ScaledNlp(prob, x0, cfg.obj_scale)
+        z0 = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, _PUSH_COLD)
+        res = minimize(prob, x0, cfg)
+        assert res.status == ("max_iterations" if max_iterations == 3 else "optimal")
+        assert res.log[0].feasibility == nlp.constraints(z0)[2]
+        r = prob.constraints_residual(res.x)
+        rg = r[prob.m_eq :]
+        violation = np.maximum(prob.rg_lb - rg, rg - prob.rg_ub)
+        assert res.feasibility == max(float(np.max(np.abs(r[: prob.m_eq]))), float(np.max(violation)), 0.0)
+
     def test_solution_mapping(self, params, state):
         prob = _electrolyzer_problem(params, state, H=4, seed=26)
         sol = solve(prob, cold_start(prob), SolverConfig())
@@ -133,6 +153,13 @@ class TestSolverContract:
         assert len(sol.actions) == 4
         for act in sol.actions:
             act.validate(params)
+
+    @pytest.mark.parametrize("bound", ["lb", "ub", "rg_lb", "rg_ub"])
+    def test_nonfinite_bound_rejected(self, bound):
+        prob = Quadratic(np.eye(2), np.zeros(2), rg=([[1.0, 1.0]], [1.0], [2.0]))
+        getattr(prob, bound)[0] = np.inf if bound.endswith("ub") else -np.inf
+        with pytest.raises(ValueError, match="finite"):
+            minimize(prob, np.zeros(2), raw_cfg())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -150,24 +177,11 @@ class TestSparsityLayout:
         slack = sp.vstack([sp.csc_matrix((nlp.m_eq, nlp.m_rg)), sp.diags(-nlp.ds).tocsc()])
         return (sp.diags(nlp.row_scale) @ sp.hstack([jx, slack], format="csr")).tocsr()
 
-    @staticmethod
-    def commitment_problem(strategy, state, params):
-        # a 09:00 horizon: today's committed steps, then tomorrow's free
-        # day-ahead quantities tied hour by hour
-        sid = units.COMMITMENT_STEP
-        H = units.STEPS_PER_DAY - sid + units.STEPS_PER_DAY
-        dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
-        rng = np.random.default_rng(7)
-        return build(
-            strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H),
-            sid, params,
-        )
-
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     @pytest.mark.parametrize("commitment", [False, True])
     def test_jacobian_equals_scipy_assembly(self, strategy, commitment, params, state):
         if commitment:
-            prob = self.commitment_problem(strategy, state, params)
+            prob = commitment_problem(strategy, state, params)
             assert len(prob.tie_pairs) and np.any(prob.lb[prob.idx["p_dam"]] == 55.0)
         else:
             rng = np.random.default_rng(3)
@@ -184,7 +198,7 @@ class TestSparsityLayout:
         x_moved[nlp.free] += 1e-3 * nlp.dx * rng.uniform(-1.0, 1.0, nlp.n_free)
         for x in (x0, x_moved):
             z = nlp.z_from_x_full(x, prob.constraints_residual(x)[prob.m_eq :])
-            _, J = nlp.constraints(z)
+            _, J, _ = nlp.constraints(z)
             _, jac = prob.constraints_and_jacobian(nlp.x_full(z))
             ref = self.scaled_jacobian(nlp, jac)
             assert np.array_equal(J.indptr, ref.indptr)
@@ -193,9 +207,9 @@ class TestSparsityLayout:
 
     @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
     def test_kkt_matrix_equals_scipy_assembly(self, delta_c, params, state):
-        prob = self.commitment_problem(StrategyKind.HF_MS, state, params)
+        prob = commitment_problem(StrategyKind.HF_MS, state, params)
         nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4)
-        _, J = nlp.constraints(nlp.z_from_x_full(cold_start(prob), nlp.res0[prob.m_eq :]))
+        _, J, _ = nlp.constraints(nlp.z_from_x_full(cold_start(prob), nlp.res0[prob.m_eq :]))
         bfgs = _BlockBfgs(nlp.blocks)
         rng = np.random.default_rng(5)
         for B in bfgs.mats[::2]:  # dense curvature on some blocks, seeds elsewhere
