@@ -2,9 +2,9 @@
 
 One model serves both the simulator and the high-fidelity controller:
 ``stack_point`` evaluates the three-term stack voltage, total plant power
-and the empirical membrane-thinning rate, each with its exact partial
-derivatives, at the configured chamber pressures. ``step`` advances the
-plant state with forward Euler.
+and the empirical membrane-thinning rate at the configured chamber
+pressures, with their exact first and second partial derivatives on
+request. ``step`` advances the plant state with forward Euler.
 
 Functions accept floats or numpy arrays (everything is written with numpy
 ufuncs), which the optimal-control transcription relies on.
@@ -83,26 +83,44 @@ class StackPoint:
 
     Voltages are per stack [V], power is the whole plant's draw [kW], the
     rate is the signed membrane-thickness rate [um/min]. Partials are taken
-    in temperature [K], stack current [A] and membrane thickness [um].
+    in temperature [K], stack current [A] and membrane thickness [um]; the
+    rate does not depend on thickness. ``d2v``, ``d2p`` and ``d2rate`` are
+    the Hessians of ``v_tot``, ``p_kw`` and ``rate`` in (T, I, eps), shape
+    ``(..., 3, 3)``. Partials the evaluation's order leaves out are None.
     """
 
     v_act: np.ndarray
     v_oc: np.ndarray
     v_ohm: np.ndarray
     v_tot: np.ndarray
-    dv_dT: np.ndarray
-    dv_dI: np.ndarray
-    dv_deps: np.ndarray
     p_kw: np.ndarray
-    dp_dT: np.ndarray
-    dp_dI: np.ndarray
-    dp_deps: np.ndarray
     rate: np.ndarray
-    drate_dT: np.ndarray
-    drate_dI: np.ndarray
+    dv_dT: np.ndarray | None = None
+    dv_dI: np.ndarray | None = None
+    dv_deps: np.ndarray | None = None
+    dp_dT: np.ndarray | None = None
+    dp_dI: np.ndarray | None = None
+    dp_deps: np.ndarray | None = None
+    drate_dT: np.ndarray | None = None
+    drate_dI: np.ndarray | None = None
+    d2v: np.ndarray | None = None
+    d2p: np.ndarray | None = None
+    d2rate: np.ndarray | None = None
 
 
-def stack_point(temperature, current, thickness_um, p: PlantParams) -> StackPoint:
+def _hessian3(tt, ti, te, ii, ie):
+    """Symmetric (..., 3, 3) stack in (T, I, eps) with a zero eps-eps entry."""
+    shape = np.broadcast(tt, ti, te, ii, ie).shape
+    h = np.zeros(shape + (3, 3))
+    h[..., 0, 0] = tt
+    h[..., 0, 1] = h[..., 1, 0] = ti
+    h[..., 0, 2] = h[..., 2, 0] = te
+    h[..., 1, 1] = ii
+    h[..., 1, 2] = h[..., 2, 1] = ie
+    return h
+
+
+def stack_point(temperature, current, thickness_um, p: PlantParams, order: int = 1) -> StackPoint:
     """Voltage terms, plant power and thinning rate at the configured chamber pressures.
 
     The one plant model: the simulator and the controller problem both
@@ -114,6 +132,10 @@ def stack_point(temperature, current, thickness_um, p: PlantParams) -> StackPoin
 
     Stacks are in series, so the plant draws V I n plus auxiliaries of
     extra_energy_coeff kWh per kg of hydrogen produced.
+
+    ``order`` 0 gives the values only, 1 adds the first partials and 2 the
+    second partials too. The values come from the same expressions at
+    every order, so they agree to the bit.
     """
     T, I, eps = temperature, current, thickness_um
     acm2 = p.membrane_area_cm2
@@ -123,32 +145,36 @@ def stack_point(temperature, current, thickness_um, p: PlantParams) -> StackPoin
 
     log_arg = np.log(I / i0)
     v_act = rt_2f / p.charge_coefficient * log_arg
-    dva_dT = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient) * log_arg
-    dva_dI = rt_2f / p.charge_coefficient / I
 
     nernst_log = math.log(p.chamber_pressure_h2 * math.sqrt(p.chamber_pressure_o2))
     v_oc = rt_2f * nernst_log + reversible_potential(T)
-    dvo_dT = p.gas_constant / (2.0 * p.faraday_constant) * nernst_log - E_REV_SLOPE
 
     beta = membrane_conductivity(T, p)
     eps_cm = units.um_to_cm(eps)
     v_ohm = I * eps_cm / (acm2 * beta)
+
+    v_tot = v_act + v_oc + v_ohm
+    aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * p.h2_kmol_hr_per_amp  # kW per A
+    p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
+    rate = degradation_rate(T, j)
+    if order == 0:
+        return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate)
+
+    act_per_t = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient)
+    dva_dT = act_per_t * log_arg
+    dva_dI = rt_2f / p.charge_coefficient / I
+    dvo_dT = p.gas_constant / (2.0 * p.faraday_constant) * nernst_log - E_REV_SLOPE
     dvh_dI = eps_cm / (acm2 * beta)
     dvh_deps = I * units.um_to_cm(1.0) / (acm2 * beta)
     dvh_dT = -v_ohm * CONDUCTIVITY_ACTIVATION_K / T**2
 
-    v_tot = v_act + v_oc + v_ohm
     dv_dT = dva_dT + dvo_dT + dvh_dT
     dv_dI = dva_dI + dvh_dI
     dv_deps = dvh_deps
-
-    aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * p.h2_kmol_hr_per_amp  # kW per A
-    p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
     dp_dT = dv_dT * I * p.n_stacks / 1000.0
     dp_dI = (v_tot + I * dv_dI) * p.n_stacks / 1000.0 + aux
     dp_deps = dv_deps * I * p.n_stacks / 1000.0
 
-    rate = degradation_rate(T, j)
     c4, c3, c2, c1, c0 = DEG_COEFFS
     drate_dT = c4[0] * j**4 + c3[0] * j**3 + c2[0] * j**2 + c1[0] * j + c0[0]
     a4 = c4[0] * T + c4[1]
@@ -156,12 +182,38 @@ def stack_point(temperature, current, thickness_um, p: PlantParams) -> StackPoin
     a2 = c2[0] * T + c2[1]
     a1 = c1[0] * T + c1[1]
     drate_dI = (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / acm2
+    first = dict(
+        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
+        drate_dT=drate_dT, drate_dI=drate_dI,
+    )
+    if order == 1:
+        return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate, **first)
 
+    # V_act is T ln I times a constant and V_oc is affine in T. V_ohm's T
+    # partial is -V_ohm K/T^2, so a T partial of any V_ohm term brings a
+    # factor -K/T^2, and in V_TT differentiating K/T^2 itself adds -2/T
+    arrhenius = CONDUCTIVITY_ACTIVATION_K / T**2
+    ohm_per_um = units.um_to_cm(1.0) / (acm2 * beta)  # d2 V_ohm / dI deps
+    kw_per_va = p.n_stacks / 1000.0
+    v_TT = -dvh_dT * (arrhenius + 2.0 / T)
+    v_TI = act_per_t / I - dvh_dI * arrhenius
+    v_Te = -dvh_deps * arrhenius
+    v_II = -dva_dI / I
+    d2v = _hessian3(v_TT, v_TI, v_Te, v_II, ohm_per_um)
+    # P = V I n/1000 + aux I, so each I partial adds the V partial once more
+    d2p = _hessian3(
+        v_TT * I * kw_per_va,
+        (dv_dT + I * v_TI) * kw_per_va,
+        v_Te * I * kw_per_va,
+        (2.0 * dv_dI + I * v_II) * kw_per_va,
+        (dv_deps + I * ohm_per_um) * kw_per_va,
+    )
+    rate_TI = (4.0 * c4[0] * j**3 + 3.0 * c3[0] * j**2 + 2.0 * c2[0] * j + c1[0]) / acm2
+    rate_II = (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / acm2**2
+    d2rate = _hessian3(0.0, rate_TI, 0.0, rate_II, 0.0)
     return StackPoint(
-        v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot,
-        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps,
-        p_kw=p_kw, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
-        rate=rate, drate_dT=drate_dT, drate_dI=drate_dI,
+        v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate, **first,
+        d2v=d2v, d2p=d2p, d2rate=d2rate,
     )
 
 
@@ -225,7 +277,7 @@ def step(
             f"[{p.storage_min:.1f}, {p.storage_max:.1f}]"
         )
 
-    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p)
+    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p, order=0)
     membrane_next = state.membrane_um + sp.rate * dt_minutes
     if membrane_next <= 0.0:
         raise StepViolation("membrane thickness would reach zero")

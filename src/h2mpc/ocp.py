@@ -2,12 +2,12 @@
 
 Simultaneous (full discretization) transcription: per-step controls plus
 state variables, dynamics as equality constraints. Variables, bounds,
-equality residuals, nonlinear range constraints, objective, and exact
-first derivatives are all assembled here; the solver module only sees the
-generic evaluator surface. Each constraint block is declared once, in
-``OcpProblem._row_blocks``: its name, residual and Jacobian terms. Row
-names, the residual vector and the Jacobian's CSR layout, fixed in
-``build``, are all read from that table.
+equality residuals, nonlinear range constraints, objective, exact first
+derivatives and the Lagrangian's second derivatives are all assembled
+here; the solver module only sees the generic evaluator surface. Each
+constraint block is declared once, in ``OcpProblem._row_blocks``: its
+name, residual and Jacobian terms. Row names, the residual vector and the
+Jacobian's CSR layout, fixed in ``build``, are all read from that table.
 
 Strategy differences:
 
@@ -102,6 +102,7 @@ class OcpProblem:
     m_eq: int = 0
     eq_names: list[str] = field(default_factory=list)
     rg_names: list[str] = field(default_factory=list)
+    _rows: dict[str, slice] = field(repr=False, default_factory=dict)
     _jac_order: np.ndarray = field(repr=False, default=None)
     _jac_indices: np.ndarray = field(repr=False, default=None)
     _jac_indptr: np.ndarray = field(repr=False, default=None)
@@ -119,14 +120,19 @@ class OcpProblem:
             cols.append(self.idx["eps"][:-1])
         return cols
 
-    def nonlinear_blocks(self) -> list[np.ndarray]:
-        """Per-step variable groups entering the model nonlinearly.
+    def nonlinear_blocks(self) -> np.ndarray:
+        """Per-step variable groups entering the model nonlinearly, (H, k).
 
-        Only the stack-point inputs appear in nonlinear expressions;
-        everything else is linear, which the solver's structured
-        quasi-Newton exploits.
+        Only the stack-point inputs appear in nonlinear expressions, so the
+        Lagrangian Hessian is block diagonal on these groups (see
+        ``hessian_blocks``) and zero everywhere else.
         """
-        return list(np.column_stack(self._stack_columns()))
+        return np.column_stack(self._stack_columns())
+
+    def _stack_point(self, x: np.ndarray, order: int) -> electrolyzer.StackPoint:
+        idx = self.idx
+        eps_in = x[idx["eps"][:-1]] if self.high_fidelity else np.full(self.horizon, self.eps_const_um)
+        return electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps_in, self.params, order)
 
     # evaluation --------------------------------------------------------
     def objective_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -155,7 +161,7 @@ class OcpProblem:
             raise EvalError("objective is not finite")
         return obj, g
 
-    def _row_blocks(self, x: np.ndarray) -> list[tuple[str, np.ndarray, list]]:
+    def _row_blocks(self, x: np.ndarray, jac: bool = True) -> list[tuple[str, np.ndarray, list]]:
         """The constraint rows, declared once: ``(name, residual, terms)`` per block.
 
         Blocks come in row order, equalities first, then the ``voltage`` and
@@ -163,17 +169,21 @@ class OcpProblem:
         term ``(columns, partials)``: at column ``columns[i]``, with value
         ``partials[i]`` (a scalar partial holds for every row). Equality
         residuals vanish when satisfied; range rows hold the raw constraint
-        value, to be compared against rg_lb/rg_ub.
+        value, to be compared against rg_lb/rg_ub. Without ``jac`` the plant
+        model is evaluated for values only and the terms through it are
+        left out, so only the residuals are complete.
         """
         self._check_finite(x, "variable")
         idx, p = self.idx, self.params
-        eps_in = x[idx["eps"][:-1]] if self.high_fidelity else np.full(self.horizon, self.eps_const_um)
-        ph = electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps_in, p)
+        ph = self._stack_point(x, order=int(jac))
         dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
-        dv_stack = [ph.dv_dT, ph.dv_dI, ph.dv_deps][: len(stack)]
-        dp_stack = [ph.dp_dT, ph.dp_dI, ph.dp_deps][: len(stack)]
+        # partials on the stack-point inputs, in (T, I, eps) order; zip
+        # stops at the shorter of these and ``stack``
+        dv = (ph.dv_dT, ph.dv_dI, ph.dv_deps) if jac else ()
+        dp = (ph.dp_dT, ph.dp_dI, ph.dp_deps) if jac else ()
+        drate = (ph.drate_dT, ph.drate_dI) if jac else ()
 
         blocks = [(
             "mass_split",
@@ -187,7 +197,7 @@ class OcpProblem:
         blocks.append((
             "power_balance",
             x[dam] + x[rtm] - ph.p_kw / 1000.0,
-            [(dam, 1.0), (rtm, 1.0)] + [(c, -d / 1000.0) for c, d in zip(stack, dp_stack)],
+            [(dam, 1.0), (rtm, 1.0)] + [(c, -d / 1000.0) for c, d in zip(stack, dp)],
         ))
         blocks.append((
             "storage_dyn",
@@ -199,14 +209,13 @@ class OcpProblem:
             blocks.append((
                 "thickness_dyn",
                 x[eps[1:]] - x[eps[:-1]] - units.STEP_MINUTES * ph.rate,
-                [(eps[1:], 1.0), (eps[:-1], -1.0),
-                 (idx["temp"], -units.STEP_MINUTES * ph.drate_dT),
-                 (cur, -units.STEP_MINUTES * ph.drate_dI)],
+                [(eps[1:], 1.0), (eps[:-1], -1.0)]
+                + [(c, -units.STEP_MINUTES * d) for c, d in zip(stack, drate)],
             ))
         tied, anchor = dam[self.tie_pairs[:, 0]], dam[self.tie_pairs[:, 1]]
         blocks.append(("dam_tie", x[tied] - x[anchor], [(tied, 1.0), (anchor, -1.0)]))
-        blocks.append(("voltage", ph.v_tot, list(zip(stack, dv_stack))))
-        blocks.append(("plant_power", ph.p_kw, list(zip(stack, dp_stack))))
+        blocks.append(("voltage", ph.v_tot, list(zip(stack, dv))))
+        blocks.append(("plant_power", ph.p_kw, list(zip(stack, dp))))
         return blocks
 
     @staticmethod
@@ -219,7 +228,7 @@ class OcpProblem:
 
     def constraints_residual(self, x: np.ndarray) -> np.ndarray:
         """Residual vector only; the cheap path for line-search trials."""
-        return self._stacked_residual(self._row_blocks(x))
+        return self._stacked_residual(self._row_blocks(x, jac=False))
 
     def constraints_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
         """Residuals and CSR Jacobian, rows as ``_row_blocks`` declares them.
@@ -238,8 +247,27 @@ class OcpProblem:
         jac = sp.csr_matrix((data[self._jac_order], self._jac_indices, self._jac_indptr), shape=shape)
         return self._stacked_residual(blocks), jac
 
+    def hessian_blocks(self, x: np.ndarray, obj_weight: float, lam: np.ndarray) -> np.ndarray:
+        """Hessian of obj_weight * f + lam' c on each ``nonlinear_blocks`` group, (H, k, k).
+
+        ``lam`` holds one multiplier per constraint row, in row order. The
+        objective is linear, so ``obj_weight`` adds nothing; the curvature
+        comes from the plant model's second partials, weighted by the
+        multipliers of the rows that evaluate it.
+        """
+        self._check_finite(x, "variable")
+        ph = self._stack_point(x, order=2)
+        rows = self._rows
+        power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
+        hess = power[:, None, None] * ph.d2p + lam[rows["voltage"]][:, None, None] * ph.d2v
+        if self.high_fidelity:
+            hess -= (units.STEP_MINUTES * lam[rows["thickness_dyn"]])[:, None, None] * ph.d2rate
+        k = len(self._stack_columns())
+        return hess[:, :k, :k]
+
     def _fix_layout(self) -> None:
-        """Name the rows and fix the Jacobian's canonical CSR layout.
+        """Name the rows, record each block's row slice and fix the
+        Jacobian's canonical CSR layout.
 
         One evaluation of the row table at the box midpoint gives every
         entry's (row, column); their (row, column) sort order maps later
@@ -250,6 +278,7 @@ class OcpProblem:
         names: list[str] = []
         rows, cols = [], []
         for name, res, terms in blocks:
+            self._rows[name] = slice(len(names), len(names) + len(res))
             block_rows = np.arange(len(names), len(names) + len(res))
             names.extend(f"{name}[{i}]" for i in range(len(res)))
             for columns, _ in terms:

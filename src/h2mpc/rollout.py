@@ -184,9 +184,8 @@ def _prefix_fsum(values: list[float]) -> list[float]:
 # exactly onto the cap and drift strands it there
 COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
 
-# cold re-solves tried in order when a step's solve is unusable; each of
-# them converges from the start point that wedged the default settings at
-# hf-ss 2022-01-02 09:00 on the bundled prices
+# cold re-solves tried in order when a step's solve is unusable: a larger
+# and a smaller initial barrier parameter, then a heavier objective scale
 _RETRY_LADDER = ({"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
 
 
@@ -214,7 +213,7 @@ def _fallback_action(
     temp = prev.temperature_k
 
     def power_mw(current: float) -> float:
-        kw = electrolyzer.stack_point(temp, current, state.membrane_um, p).p_kw
+        kw = electrolyzer.stack_point(temp, current, state.membrane_um, p, order=0).p_kw
         return float(kw) / 1000.0
 
     if strategy is ocp.StrategyKind.HF_SS:

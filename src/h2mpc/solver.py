@@ -7,9 +7,12 @@ into the canonical bound-constrained equality form. The algorithm is a
 line-search barrier method in the style of large-scale interior-point
 codes: damped Newton steps on the primal-dual barrier KKT system, a
 fraction-to-the-boundary rule, a monotone barrier-reduction schedule, and
-an l1-penalty merit line search. Second-order information comes from
-damped BFGS updates on the per-step variable blocks the problem declares
-as nonlinear (exact Hessians are never formed).
+an l1-penalty merit line search with one second-order correction (as in
+IPOPT) against the Maratos effect. Second-order information is the exact
+Lagrangian Hessian on the per-step variable blocks the problem declares as
+nonlinear (``hessian_blocks``); each scaled block is projected onto
+eigenvalues at or above a floor, the convexification acados applies to
+stage Hessians, so the curvature stays positive definite.
 
 Every variable and range bound must be finite; ``minimize`` rejects a
 problem with an infinite one. Everything is deterministic: identical
@@ -81,6 +84,12 @@ _ARMIJO_ETA = 1.0e-4
 _MAX_BACKTRACKS = 40
 _PUSH_COLD = 1.0e-2
 _PUSH_WARM = 1.0e-4
+# smallest eigenvalue a projected curvature block keeps (scaled problem)
+_EIG_FLOOR = 1.0e-8
+# cold starts discard least-squares multipliers larger than this (IPOPT's
+# constr_mult_init_max); a warm start sits next to the previous solution,
+# where they approximate its multipliers however large, and keeps them
+_COLD_DUAL_MAX = 1.0e3
 
 
 class _ScaledNlp:
@@ -142,13 +151,17 @@ class _ScaledNlp:
         # every evaluation's Jacobian shares these; they must never change
         self.jac_layout.indices.flags.writeable = self.jac_layout.indptr.flags.writeable = False
 
-        # nonlinear block structure mapped into reduced coordinates
-        self.blocks: list[np.ndarray] = []
-        for blk in prob.nonlinear_blocks():
-            reduced = pos[np.asarray(blk, dtype=np.int64)]
-            reduced = reduced[reduced >= 0]
-            if len(reduced):
-                self.blocks.append(reduced)
+        # nonlinear blocks in reduced coordinates: each column's scale, zero
+        # where the column is fixed (which zeroes its row and column of the
+        # scaled block), and the reduced (row, col) of every kept entry
+        blk = pos[np.asarray(prob.nonlinear_blocks(), dtype=np.int64)]
+        free_blk = blk >= 0
+        self.blk_dx = np.zeros(blk.shape)
+        self.blk_dx[free_blk] = self.dx[blk[free_blk]]
+        kept = free_blk[:, :, None] & free_blk[:, None, :]
+        self.hess_keep = np.flatnonzero(kept)
+        self.hess_rows = np.broadcast_to(blk[:, :, None], kept.shape)[kept]
+        self.hess_cols = np.broadcast_to(blk[:, None, :], kept.shape)[kept]
 
     # mappings --------------------------------------------------------
     def _x_full_from(self, zx: np.ndarray) -> np.ndarray:
@@ -185,6 +198,13 @@ class _ScaledNlp:
         J = sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
         return self._scaled_residual(res, z), J, self._infeasibility(res)
 
+    def hessian(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Projected curvature of the scaled Lagrangian at (z, y): one value
+        per (``hess_rows``, ``hess_cols``) entry."""
+        hx = self.prob.hessian_blocks(self.x_full(z), self.obj_scale, y * self.row_scale)
+        hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
+        return _project_blocks(hz).reshape(-1)[self.hess_keep]
+
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds
         c = np.empty(self.m_eq + self.m_rg)
@@ -200,68 +220,39 @@ class _ScaledNlp:
         return max(float(np.max(np.abs(res[: self.m_eq]), initial=0.0)), float(np.max(viol, initial=0.0)))
 
 
-class _BlockBfgs:
-    """Damped BFGS curvature, one small dense matrix per nonlinear block."""
-
-    def __init__(self, blocks: list[np.ndarray]):
-        self.blocks = blocks
-        self.mats = [np.eye(len(b)) for b in blocks]
-        self.virgin = [True] * len(blocks)
-
-    def update(self, dz: np.ndarray, dgrad: np.ndarray) -> None:
-        for i, (b, B) in enumerate(zip(self.blocks, self.mats)):
-            s = dz[b]
-            y = dgrad[b]
-            ss = float(s @ s)
-            if ss < 1.0e-20:
-                continue
-            sy = float(s @ y)
-            if self.virgin[i] and sy > 1.0e-12 * ss:
-                # self-scale the seed matrix so curvature starts at the
-                # right order of magnitude (critical for near-linear
-                # problems where an identity seed is far too stiff)
-                gamma = float(y @ y) / sy
-                B *= min(max(gamma, 1.0e-4), 1.0e6)
-                self.virgin[i] = False
-            Bs = B @ s
-            sBs = float(s @ Bs)
-            if sBs <= 0.0:
-                continue
-            if sy < 0.2 * sBs:  # Powell damping keeps B positive definite
-                theta = 0.8 * sBs / (sBs - sy)
-                y = theta * y + (1.0 - theta) * Bs
-                sy = float(s @ y)
-            if sy <= 1.0e-16:
-                continue
-            B -= np.outer(Bs, Bs) / sBs
-            B += np.outer(y, y) / sy
+def _project_blocks(h: np.ndarray) -> np.ndarray:
+    """Each symmetric block of an (H, k, k) stack with its eigenvalues raised
+    to at least ``_EIG_FLOOR``; blocks already there come back unchanged."""
+    w, v = np.linalg.eigh(h)
+    proj = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
+    proj = 0.5 * (proj + proj.transpose(0, 2, 1))
+    return np.where((w[:, 0] >= _EIG_FLOOR)[:, None, None], h, proj)
 
 
 class _KktLayout:
     """Sparsity of the barrier KKT matrix [[W + diag, J^T], [J, -delta_c I]].
 
-    W is the block-diagonal BFGS curvature. The (row, col) slots are fixed
+    W is the block-diagonal projected curvature, given as values at the
+    (``hess_rows``, ``hess_cols``) entries. The (row, col) slots are fixed
     per solve; each factorization only supplies values, and drops the ones
     that come out zero, since SuperLU's column ordering follows the pattern.
     """
 
-    def __init__(self, blocks: list[np.ndarray], J: sp.csr_matrix):
+    def __init__(self, hess_rows: np.ndarray, hess_cols: np.ndarray, J: sp.csr_matrix):
         m, nz = J.shape
         n = nz + m
         diag = np.arange(n)
         j_rows = nz + np.repeat(np.arange(m), np.diff(J.indptr))
-        rows = [*(np.repeat(b, len(b)) for b in blocks), diag[:nz], j_rows, J.indices, diag[nz:]]
-        cols = [*(np.tile(b, len(b)) for b in blocks), diag[:nz], J.indices, j_rows, diag[nz:]]
+        rows = [hess_rows, diag[:nz], j_rows, J.indices, diag[nz:]]
+        cols = [hess_cols, diag[:nz], J.indices, j_rows, diag[nz:]]
         keys, self.slot = np.unique(np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True)
         self.indices = keys % n
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.shape = (n, n)
 
-    def matrix(self, bfgs: _BlockBfgs, h_diag: np.ndarray, J: sp.csr_matrix, delta_c: float) -> sp.csc_matrix:
+    def matrix(self, w: np.ndarray, h_diag: np.ndarray, J: sp.csr_matrix, delta_c: float) -> sp.csc_matrix:
         # a block's diagonal and h_diag share slots and sum in list order
-        values = np.concatenate(
-            [*(B.ravel() for B in bfgs.mats), h_diag, J.data, J.data, np.full(J.shape[0], -delta_c)]
-        )
+        values = np.concatenate([w, h_diag, J.data, J.data, np.full(J.shape[0], -delta_c)])
         data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
         K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
         K.eliminate_zeros()
@@ -278,6 +269,9 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     ``constraints_and_jacobian`` must return a CSR Jacobian whose sparsity
     pattern is the same at every point: the solve lays it out once and
     raises ValueError when an evaluation's pattern differs.
+    ``nonlinear_blocks()`` gives an (H, k) array of column groups outside
+    which the Lagrangian is linear, and ``hessian_blocks`` its (H, k, k)
+    curvature on them.
     """
     x0 = np.asarray(x0, dtype=float)
     if len(x0) != prob.n:
@@ -303,10 +297,9 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     m = nlp.m_eq + nlp.m_rg
     f, g = nlp.objective(z)
     c, J, feas = nlp.constraints(z)
-    y = _least_squares_duals(g, J, vl, vu)
+    y = _least_squares_duals(g, J, vl, vu, math.inf if warm else _COLD_DUAL_MAX)
 
-    bfgs = _BlockBfgs(nlp.blocks)
-    kkt = _KktLayout(nlp.blocks, J)
+    kkt = _KktLayout(nlp.hess_rows, nlp.hess_cols, J)
     nu = 1.0
     tau = max(_TAU_MIN, 1.0 - mu)
     log: list[IterationRecord] = []
@@ -341,10 +334,13 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         sigma = vl / zl + vu / zu
         grad_mu = g - mu / zl + mu / zu
 
-        dz, dy, delta_w = _solve_kkt(kkt, bfgs, sigma, J, grad_mu, y, c, delta_w)
-        if dz is None:
+        grad_y = grad_mu + J.T @ y
+        w = nlp.hessian(z, y)
+        step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, J, np.concatenate([-grad_y, -c]), delta_w)
+        if step is None:
             status = "singular_kkt"
             break
+        dz, dy = step[: nlp.nz], step[nlp.nz :]
 
         dvl = mu / zl - vl - vl * dz / zl
         dvu = mu / zu - vu + vu * dz / zu
@@ -356,56 +352,59 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         nu = max(nu, 1.05 * float(np.max(np.abs(y + dy), initial=0.0)) + 0.01)
         merit0 = _merit(f, z, c, mu, nu, nlp)
         dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
-        if dmerit >= 0.0:
-            # quasi-Newton curvature was too weak for a descent direction;
-            # fall back to a heavier penalty
-            nu *= 10.0
-            merit0 = _merit(f, z, c, mu, nu, nlp)
-            dmerit = float(grad_mu @ dz) - nu * float(np.sum(np.abs(c)))
 
-        accepted = False
         alpha = alpha_max
         # two allowances keep the endgame from drifting with tiny alphas:
         # float roundoff on the merit itself, and the O(mu) barrier-value
         # wobble of primal-dual steps taken slightly off the central path
         noise = 100.0 * np.finfo(float).eps * max(1.0, abs(merit0)) + 10.0 * mu
-        for _ in range(_MAX_BACKTRACKS):
-            z_t = z + alpha * dz
+
+        def armijo(z_t, alpha):
             f_t, g_t = nlp.objective(z_t)
             c_t, _, _ = nlp.constraints(z_t, need_jac=False)
             merit_t = _merit(f_t, z_t, c_t, mu, nu, nlp)
-            if math.isfinite(merit_t) and merit_t <= merit0 + _ARMIJO_ETA * alpha * dmerit + noise:
-                accepted = True
+            ok = math.isfinite(merit_t) and merit_t <= merit0 + _ARMIJO_ETA * alpha * dmerit + noise
+            return ok, f_t, g_t, c_t
+
+        for trial in range(_MAX_BACKTRACKS):
+            z_t = z + alpha * dz
+            accepted, f_t, g_t, c_t = armijo(z_t, alpha)
+            if not accepted and trial == 0 and np.sum(np.abs(c_t)) >= np.sum(np.abs(c)):
+                # second-order correction: the first trial lost feasibility
+                # to the constraints' curvature, so re-solve with the
+                # residual it met (same factors) and try that point once
+                dz_soc = kkt_solve(np.concatenate([-grad_y, -(alpha * c + c_t)]))[: nlp.nz]
+                z_t = z + _fraction_to_boundary(z, dz_soc, nlp.lz, nlp.uz, tau) * dz_soc
+                accepted, f_t, g_t, c_t = armijo(z_t, alpha)
+            if accepted:
                 break
             alpha *= 0.5
             if alpha < 1.0e-14:
                 break
+        # free the factors before the next factorization: holding two sets
+        # at once fragments the heap, and peak RSS grows with every solve
+        del kkt_solve
         if not accepted:
             status = "line_search_failed"
             break
 
-        z_new = z + alpha * dz
-        c_t, J_t, feas_t = nlp.constraints(z_new)
-        y_new = y + alpha * dy
-        gL_old_at_new_duals = g + J.T @ y_new
-        gL_new = g_t + J_t.T @ y_new
-        bfgs.update(alpha * dz, gL_new - gL_old_at_new_duals)
-
-        z = z_new
-        y = y_new
+        z = z_t
+        y = y + alpha * dy
         vl = vl + alpha_vl * dvl
         vu = vu + alpha_vu * dvu
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
-        f, g, c, J = f_t, g_t, c_t, J_t
+        f, g = f_t, g_t
+        c, J, feas_t = nlp.constraints(z)
 
         merit_after = _merit(f, z, c, mu, nu, nlp)
         log.append(IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas))
         feas = feas_t
 
     if status == "optimal":
-        z = _feasibility_polish(nlp, z, cfg.feasibility_tolerance)
-        f, g = nlp.objective(z)
-        c, J, feas = nlp.constraints(z)
+        z_opt = z
+        z, c, J, feas = _feasibility_polish(nlp, z, c, J, feas, cfg.feasibility_tolerance)
+        if z is not z_opt:
+            f, g = nlp.objective(z)
 
     gL = g + J.T @ y - vl + vu
     sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
@@ -493,8 +492,9 @@ def _dual_safeguard(z, vl, vu, lz, uz, mu):
     return vl, vu
 
 
-def _least_squares_duals(g, J, vl, vu):
-    """Initial multipliers from min ||g + J^T y - vl + vu||, capped."""
+def _least_squares_duals(g, J, vl, vu, y_max):
+    """Initial multipliers from min ||g + J^T y - vl + vu||; zero when that
+    fails or any of them exceeds ``y_max`` in magnitude."""
     m = J.shape[0]
     rhs = -(J @ (g - vl + vu))
     JJt = (J @ J.T).tocsc() + 1.0e-8 * sp.identity(m, format="csc")
@@ -502,39 +502,43 @@ def _least_squares_duals(g, J, vl, vu):
         y = spla.splu(JJt).solve(rhs)
     except RuntimeError:
         return np.zeros(m)
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > 1.0e3:
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > y_max:
         return np.zeros(m)
     return y
 
 
-def _solve_kkt(kkt, bfgs, sigma, J, grad_mu, y, c, delta_w):
-    """Factor and solve the reduced barrier KKT system, regularizing on demand."""
-    nz = len(sigma)
-    rhs = np.concatenate([-(grad_mu + J.T @ y), -c])
+def _solve_kkt(kkt, w, sigma, J, rhs, delta_w):
+    """Factor and solve the reduced barrier KKT system, regularizing on demand.
+
+    Returns the step, a solve for further right-hand sides with the same
+    factors, and the regularization to start the next iteration from.
+    """
     delta_c = 0.0
     for _ in range(12):
         try:
-            step = spla.splu(kkt.matrix(bfgs, sigma + delta_w, J, delta_c)).solve(rhs)
+            lu = spla.splu(kkt.matrix(w, sigma + delta_w, J, delta_c))
+            step = lu.solve(rhs)
         except RuntimeError:
             delta_c = max(delta_c * 10.0, 1.0e-10)
             delta_w = max(delta_w * 10.0, 1.0e-8)
             continue
         if np.all(np.isfinite(step)):
-            return step[:nz], step[nz:], max(delta_w / 3.0, 0.0)
+            return step, lu.solve, max(delta_w / 3.0, 0.0)
         delta_c = max(delta_c * 10.0, 1.0e-10)
         delta_w = max(delta_w * 10.0, 1.0e-8)
     return None, None, delta_w
 
 
-def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.ndarray:
+def _feasibility_polish(nlp: _ScaledNlp, z, c, J, feas, feas_tol: float):
     """Newton least-norm projection onto the equality manifold.
 
-    Moves only coordinates comfortably away from their bounds, so bound
-    feasibility and complementarity survive; linear rows land at roundoff
-    and nonlinear rows contract quadratically.
+    Takes the constraints already evaluated at ``z`` and returns the
+    polished point with its own evaluation; ``z`` itself comes back when
+    no move is taken. Moves only coordinates comfortably away from their
+    bounds, so bound feasibility and complementarity survive; linear rows
+    land at roundoff and nonlinear rows contract quadratically.
     """
     for _ in range(3):
-        c, J, feas = nlp.constraints(z)
         if float(np.max(np.abs(c), initial=0.0)) < 1.0e-14 or feas <= feas_tol * 1e-3:
             break
         cols = np.flatnonzero((z - nlp.lz > 1.0e-6) & (nlp.uz - z > 1.0e-6))
@@ -552,4 +556,5 @@ def _feasibility_polish(nlp: _ScaledNlp, z: np.ndarray, feas_tol: float) -> np.n
         if not (np.all(z_t > nlp.lz) and np.all(z_t < nlp.uz)):
             break
         z = z_t
-    return z
+        c, J, feas = nlp.constraints(z)
+    return z, c, J, feas

@@ -145,6 +145,59 @@ class TestVoltages:
         assert el.stack_point(343.15, 50.0, 178.0, params).v_tot < params.voltage_min
 
 
+def operating_box_points(params, n=64, seed=41):
+    """Seeded (T, I, eps) points across the controller's operating box."""
+    rng = np.random.default_rng(seed)
+    lo, hi = params.current_bounds()
+    return [
+        rng.uniform(params.temperature_min, params.temperature_max, n),
+        rng.uniform(lo, hi, n),
+        rng.uniform(1.0, params.membrane_thickness_initial, n),
+    ]
+
+
+class TestPartials:
+    VALUES = ("v_act", "v_oc", "v_ohm", "v_tot", "p_kw", "rate")
+    FIRST = ("dv_dT", "dv_dI", "dv_deps", "dp_dT", "dp_dI", "dp_deps", "drate_dT", "drate_dI")
+    SECOND = ("d2v", "d2p", "d2rate")
+
+    def test_orders_share_values_bit_for_bit(self, params):
+        pts = operating_box_points(params)
+        full = el.stack_point(*pts, params, order=2)
+        for order, present in ((0, self.VALUES), (1, self.VALUES + self.FIRST)):
+            sp = el.stack_point(*pts, params, order=order)
+            for name in self.VALUES + self.FIRST + self.SECOND:
+                if name in present:
+                    assert np.array_equal(getattr(sp, name), getattr(full, name)), (order, name)
+                else:
+                    assert getattr(sp, name) is None, (order, name)
+
+    def test_second_partials_match_differences_of_first(self, params):
+        def gradients(T, I, eps):
+            sp = el.stack_point(T, I, eps, params)
+            return {
+                "d2v": np.stack([sp.dv_dT, sp.dv_dI, sp.dv_deps], axis=-1),
+                "d2p": np.stack([sp.dp_dT, sp.dp_dI, sp.dp_deps], axis=-1),
+                "d2rate": np.stack([sp.drate_dT, sp.drate_dI, np.zeros_like(sp.rate)], axis=-1),
+            }
+
+        pts = operating_box_points(params)
+        sp = el.stack_point(*pts, params, order=2)
+        for k in range(3):
+            up = [x * (1.0 + 1e-6) if i == k else x for i, x in enumerate(pts)]
+            down = [x * (1.0 - 1e-6) if i == k else x for i, x in enumerate(pts)]
+            g_up, g_down = gradients(*up), gradients(*down)
+            for name in self.SECOND:
+                fd = (g_up[name] - g_down[name]) / (up[k] - down[k])[:, None]
+                exact = getattr(sp, name)[:, :, k]
+                assert np.array_equal(exact, getattr(sp, name)[:, k, :]), name  # symmetric
+                # entries relative to themselves, or to their column's scale where near zero
+                scale = np.maximum(np.abs(exact), 1e-3 * np.max(np.abs(exact), axis=0))
+                worst = np.max(np.abs(exact - fd) / np.maximum(scale, 1e-300))
+                assert worst < 1e-6, (name, k, worst)
+        assert not np.any(sp.d2rate[:, 2, :]) and not np.any(sp.d2v[:, 2, 2])
+
+
 def plant_power(current, params):
     return el.stack_point(343.15, current, 178.0, params).p_kw
 

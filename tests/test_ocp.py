@@ -323,6 +323,34 @@ class TestRowTable:
         assert j0.shape == (prob.m_eq + len(prob.rg_names), prob.n)
 
 
+class TestHessianBlocks:
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_blocks_match_differences_of_jacobian_transpose_multipliers(self, strategy, params, state):
+        # each block is d(J' lam)/dx on its step's stack-point columns; the
+        # steps are separate, so one column of every step moves at once
+        prob = commitment_problem(strategy, state, params)
+        rng = np.random.default_rng(21)
+        x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
+        lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
+        hess = prob.hessian_blocks(x, 1.0, lam)
+        cols = prob.nonlinear_blocks()
+        k = 3 if prob.high_fidelity else 2
+        assert cols.shape == (prob.horizon, k) and hess.shape == (prob.horizon, k, k)
+        # the objective is linear: its weight adds no curvature
+        assert np.array_equal(prob.hessian_blocks(x, 0.0, lam), hess)
+        for a in range(k):
+            xp, xm = x.copy(), x.copy()
+            xp[cols[:, a]] *= 1.0 + 1e-6
+            xm[cols[:, a]] *= 1.0 - 1e-6
+            g_p = prob.constraints_and_jacobian(xp)[1].T @ lam
+            g_m = prob.constraints_and_jacobian(xm)[1].T @ lam
+            fd = (g_p - g_m)[cols] / (xp[cols[:, a]] - xm[cols[:, a]])[:, None]
+            exact = hess[:, :, a]
+            scale = np.maximum(np.abs(exact), 1e-3 * np.max(np.abs(exact), axis=0))
+            worst = np.max(np.abs(exact - fd) / np.maximum(scale, 1e-300))
+            assert worst < 1e-6, (a, worst)
+
+
 class TestFeasibleSetInclusion:
     def test_hf_ms_never_worse_than_hf_ss(self, params, state):
         """Pinning the real-time variables only shrinks the feasible set."""

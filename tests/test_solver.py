@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,8 @@ from h2mpc import ocp
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
-    _PUSH_COLD, SolverConfig, _BlockBfgs, _KktLayout, _ScaledNlp, _push_interior, minimize, solve,
+    _EIG_FLOOR, _PUSH_COLD, SolverConfig, _KktLayout, _ScaledNlp, _project_blocks, _push_interior,
+    minimize, solve,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -43,7 +46,11 @@ class Quadratic:
         return self.constraints_residual(x), sp.csr_matrix(np.vstack([self.A, self.rgA]))
 
     def nonlinear_blocks(self):
-        return [np.arange(self.n)]
+        return np.arange(self.n)[None, :]
+
+    def hessian_blocks(self, x, obj_weight, lam):
+        # the constraints are linear: only the objective has curvature
+        return obj_weight * self.Q[None]
 
 
 def raw_cfg(**kw):
@@ -154,6 +161,22 @@ class TestSolverContract:
         for act in sol.actions:
             act.validate(params)
 
+    def test_idle_polish_evaluates_nothing_again(self):
+        # linear rows land at roundoff, so the polish takes no step and the
+        # solve evaluates the Jacobian once for the scaling, once at the
+        # start and once per accepted step
+        class Counting(Quadratic):
+            jac_calls = 0
+
+            def constraints_and_jacobian(self, x):
+                self.jac_calls += 1
+                return super().constraints_and_jacobian(x)
+
+        prob = Counting(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], d=[2.0])
+        res = minimize(prob, np.array([9.0, -7.0]), raw_cfg())
+        assert res.ok
+        assert prob.jac_calls == 2 + len(res.log)
+
     @pytest.mark.parametrize("bound", ["lb", "ub", "rg_lb", "rg_ub"])
     def test_nonfinite_bound_rejected(self, bound):
         prob = Quadratic(np.eye(2), np.zeros(2), rg=([[1.0, 1.0]], [1.0], [2.0]))
@@ -210,19 +233,16 @@ class TestSparsityLayout:
         prob = commitment_problem(StrategyKind.HF_MS, state, params)
         nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4)
         _, J, _ = nlp.constraints(nlp.z_from_x_full(cold_start(prob), nlp.res0[prob.m_eq :]))
-        bfgs = _BlockBfgs(nlp.blocks)
         rng = np.random.default_rng(5)
-        for B in bfgs.mats[::2]:  # dense curvature on some blocks, seeds elsewhere
-            R = rng.normal(size=B.shape)
-            B[:] = R @ R.T
+        R = rng.normal(size=nlp.blk_dx.shape + nlp.blk_dx.shape[-1:])
+        blocks = R @ R.transpose(0, 2, 1)
+        blocks[1::2] *= np.eye(blocks.shape[-1])  # diagonal curvature on some blocks
+        w = blocks.reshape(-1)[nlp.hess_keep]
         h_diag = rng.uniform(0.0, 2.0, nlp.nz)
         h_diag[::7] = 0.0
-        K = _KktLayout(nlp.blocks, J).matrix(bfgs, h_diag, J, delta_c)
+        K = _KktLayout(nlp.hess_rows, nlp.hess_cols, J).matrix(w, h_diag, J, delta_c)
 
-        rows = np.concatenate([np.repeat(b, len(b)) for b in nlp.blocks])
-        cols = np.concatenate([np.tile(b, len(b)) for b in nlp.blocks])
-        data = np.concatenate([B.ravel() for B in bfgs.mats])
-        W = sp.csr_matrix((data, (rows, cols)), shape=(nlp.nz, nlp.nz))
+        W = sp.csr_matrix((w, (nlp.hess_rows, nlp.hess_cols)), shape=(nlp.nz, nlp.nz))
         corner = -delta_c * sp.identity(J.shape[0]) if delta_c else None
         ref = sp.bmat([[(W + sp.diags(h_diag)).tocsc(), J.T], [J, corner]], format="csc")
         ref.sum_duplicates()
@@ -245,6 +265,77 @@ class TestSparsityLayout:
         prob = ShiftingPattern(np.eye(2), np.zeros(2), A=[[1.0, 1.0]], d=[2.0])
         with pytest.raises(ValueError, match="sparsity pattern"):
             minimize(prob, np.array([9.0, -7.0]), raw_cfg())
+
+
+class TestCurvature:
+    """Exact stage Hessians, projected onto eigenvalues at or above the floor."""
+
+    def test_projected_blocks_are_symmetric_and_above_the_floor(self):
+        rng = np.random.default_rng(17)
+        R = rng.normal(size=(200, 3, 3))
+        blocks = R + R.transpose(0, 2, 1)  # mostly indefinite
+        blocks[::4] = R[::4] @ R[::4].transpose(0, 2, 1) + 0.1 * np.eye(3)  # definite
+        blocks[1::4, 2, :] = blocks[1::4, :, 2] = 0.0  # singular, as a fixed column leaves it
+        proj = _project_blocks(blocks)
+        assert np.array_equal(proj, proj.transpose(0, 2, 1))
+        norms = np.max(np.abs(blocks), axis=(1, 2))
+        assert np.all(np.linalg.eigvalsh(proj)[:, 0] >= _EIG_FLOOR - 1e-12 * norms)
+        definite = np.linalg.eigvalsh(blocks)[:, 0] >= _EIG_FLOOR
+        assert definite[::4].all() and not definite[1::4].any() and definite.any() and not definite.all()
+        assert np.array_equal(proj[definite], blocks[definite])
+        # the projection keeps the eigenvectors and every eigenvalue above the floor
+        w, v = np.linalg.eigh(blocks[~definite])
+        ref = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
+        assert np.allclose(proj[~definite], ref, rtol=0.0, atol=1e-12 * norms.max())
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_scaled_curvature_projects_the_free_columns(self, strategy, params, state):
+        # fixed columns (the pinned entry thickness, co's current) leave the
+        # block; the rest is scaled by the column ranges and projected alone
+        prob = commitment_problem(strategy, state, params)
+        x0 = cold_start(prob)
+        nlp = _ScaledNlp(prob, x0, 1.0e-4)
+        z = nlp.z_from_x_full(x0, nlp.res0[prob.m_eq :])
+        rng = np.random.default_rng(19)
+        y = rng.normal(scale=1e3, size=prob.m_eq + len(prob.rg_lb))
+        w = nlp.hessian(z, y)
+        W = sp.csr_matrix((w, (nlp.hess_rows, nlp.hess_cols)), shape=(nlp.nz, nlp.nz)).toarray()
+
+        hx = prob.hessian_blocks(nlp.x_full(z), nlp.obj_scale, y * nlp.row_scale)
+        pos = {col: i for i, col in enumerate(nlp.free)}
+        checked = 0
+        for cols, block in zip(prob.nonlinear_blocks(), hx):
+            keep = [a for a, col in enumerate(cols) if col in pos]
+            red = [pos[cols[a]] for a in keep]
+            scale = nlp.dx[red]
+            exact = scale[:, None] * block[np.ix_(keep, keep)] * scale[None, :]
+            ev, vec = np.linalg.eigh(exact)
+            ref = (vec * np.maximum(ev, _EIG_FLOOR)) @ vec.T
+            got = W[np.ix_(red, red)]
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(exact)))), cols
+            checked += len(red) ** 2
+        assert checked == len(w)
+
+    def test_second_order_correction_keeps_full_steps(self):
+        # Powell's example of the Maratos effect: min 2|x|^2 - x1 on
+        # the unit circle, solution (1, 0). From a point on the circle a
+        # full Newton step raises the l1 merit through the constraint's
+        # curvature; the corrected step is accepted at full length
+        class Circle(Quadratic):
+            def constraints_residual(self, x):
+                return np.array([x @ x - 1.0])
+
+            def constraints_and_jacobian(self, x):
+                return self.constraints_residual(x), sp.csr_matrix(2.0 * x[None, :])
+
+            def hessian_blocks(self, x, obj_weight, lam):
+                return ((obj_weight * 4.0 + 2.0 * lam[0]) * np.eye(2))[None]
+
+        prob = Circle(4.0 * np.eye(2), [1.0, 0.0], lb=[-2.0, -2.0], ub=[2.0, 2.0], A=[[0.0, 0.0]], d=[0.0])
+        res = minimize(prob, np.array([math.cos(0.3), math.sin(0.3)]), raw_cfg(initialization="warm"))
+        assert res.ok
+        assert np.max(np.abs(res.x - [1.0, 0.0])) < 1e-8
+        assert [rec.alpha for rec in res.log] == [1.0] * len(res.log)
 
 
 def _electrolyzer_problem(params, state, H, seed):
