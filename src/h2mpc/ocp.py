@@ -106,6 +106,9 @@ class OcpProblem:
     _jac_order: np.ndarray = field(repr=False, default=None)
     _jac_indices: np.ndarray = field(repr=False, default=None)
     _jac_indptr: np.ndarray = field(repr=False, default=None)
+    # the point of the last Jacobian evaluation and its second-order plant
+    # model, which ``hessian_blocks`` at the same point reuses
+    _jac_point: tuple | None = field(repr=False, default=None)
 
     # ------------------------------------------------------------------
     @property
@@ -171,11 +174,14 @@ class OcpProblem:
         residuals vanish when satisfied; range rows hold the raw constraint
         value, to be compared against rg_lb/rg_ub. Without ``jac`` the plant
         model is evaluated for values only and the terms through it are
-        left out, so only the residuals are complete.
+        left out, so only the residuals are complete. With ``jac`` it is
+        evaluated to second order and kept for ``hessian_blocks``.
         """
         self._check_finite(x, "variable")
         idx, p = self.idx, self.params
-        ph = self._stack_point(x, order=int(jac))
+        ph = self._stack_point(x, order=2 if jac else 0)
+        if jac:
+            self._jac_point = (x.copy(), ph)
         dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
@@ -253,10 +259,14 @@ class OcpProblem:
         ``lam`` holds one multiplier per constraint row, in row order. The
         objective is linear, so ``obj_weight`` adds nothing; the curvature
         comes from the plant model's second partials, weighted by the
-        multipliers of the rows that evaluate it.
+        multipliers of the rows that evaluate it. At the point of the last
+        ``constraints_and_jacobian`` the plant model is not evaluated again.
         """
         self._check_finite(x, "variable")
-        ph = self._stack_point(x, order=2)
+        if self._jac_point is not None and np.array_equal(self._jac_point[0], x):
+            ph = self._jac_point[1]
+        else:
+            ph = self._stack_point(x, order=2)
         rows = self._rows
         power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
         hess = power[:, None, None] * ph.d2p + lam[rows["voltage"]][:, None, None] * ph.d2v
@@ -302,37 +312,18 @@ class OcpProblem:
             raise EvalError(f"{what} {self.names[bad]} (index {bad}) is not finite")
 
     # solution handling -------------------------------------------------
-    def extract_actions(self, x: np.ndarray) -> list[ControlAction]:
+    def first_action(self, x: np.ndarray) -> ControlAction:
+        """The plan's first step: the action the closed loop applies."""
         idx = self.idx
-        return [
-            ControlAction(
-                p_dam_mw=float(x[idx["p_dam"][t]]),
-                p_rtm_mw=float(x[idx["p_rtm"][t]]),
-                temperature_k=float(x[idx["temp"][t]]),
-                current_a=float(x[idx["current"][t]]),
-                h2_el_to_plant_kmolhr=float(x[idx["el_plant"][t]]),
-                h2_to_storage_kmolhr=float(x[idx["stor_in"][t]]),
-                h2_from_storage_kmolhr=float(x[idx["stor_out"][t]]),
-            )
-            for t in range(self.horizon)
-        ]
-
-
-@dataclass(frozen=True)
-class OcpSolution:
-    """Solver output mapped back onto the control layout."""
-
-    actions: list[ControlAction]
-    objective: float
-    kkt_residual: float
-    feasibility: float
-    iterations: int
-    status: str
-    x: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "optimal"
+        return ControlAction(
+            p_dam_mw=float(x[idx["p_dam"][0]]),
+            p_rtm_mw=float(x[idx["p_rtm"][0]]),
+            temperature_k=float(x[idx["temp"][0]]),
+            current_a=float(x[idx["current"][0]]),
+            h2_el_to_plant_kmolhr=float(x[idx["el_plant"][0]]),
+            h2_to_storage_kmolhr=float(x[idx["stor_in"][0]]),
+            h2_from_storage_kmolhr=float(x[idx["stor_out"][0]]),
+        )
 
 
 def build(

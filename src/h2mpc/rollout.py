@@ -33,7 +33,8 @@ import numpy as np
 from . import electrolyzer, ocp, units
 from .market import settle, step_in_day
 from .params import ControlAction, CostLedger, DamCommitment, PlantParams, PlantState, PriceSeries
-from .solver import SolverConfig, solve
+# ``rollout.solve`` is the name tests and the benchmark hook solves by
+from .solver import SolveResult, SolverConfig, minimize as solve
 
 TRAJECTORY_CSV_HEADER = (
     "timestamp,strategy,p_dam_mw,p_rtm_mw,temperature_k,current_a,"
@@ -189,7 +190,7 @@ COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
 _RETRY_LADDER = ({"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
 
 
-def _usable(sol: ocp.OcpSolution) -> bool:
+def _usable(sol: SolveResult) -> bool:
     # an iteration-capped solve that is nonetheless feasible still
     # carries a usable plan
     return sol.ok or (sol.status == "max_iterations" and sol.feasibility <= 1.0e-6)
@@ -342,7 +343,7 @@ def run(
                 "no commitment is frozen from an unusable solve"
             )
         if usable:
-            action = sol.actions[0]
+            action = prob.first_action(sol.x)
         else:
             action = _fallback_action(
                 strategy, prev_action, commitments[day].mw_at_step(sid), state, p

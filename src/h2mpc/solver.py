@@ -28,8 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ocp import OcpProblem, OcpSolution
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -150,6 +148,7 @@ class _ScaledNlp:
         )
         # every evaluation's Jacobian shares these; they must never change
         self.jac_layout.indices.flags.writeable = self.jac_layout.indptr.flags.writeable = False
+        self.jac_rows = np.repeat(np.arange(m), np.diff(self.jac_layout.indptr))
 
         # nonlinear blocks in reduced coordinates: each column's scale, zero
         # where the column is fixed (which zeroes its row and column of the
@@ -197,6 +196,11 @@ class _ScaledNlp:
         layout = self.jac_layout
         J = sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
         return self._scaled_residual(res, z), J, self._infeasibility(res)
+
+    def jac_t_dot(self, J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+        """J.T @ y for a Jacobian in this solve's layout, without building
+        the transpose; each entry sums in row order, as scipy's does."""
+        return np.bincount(J.indices, J.data * y[self.jac_rows], minlength=self.nz)
 
     def hessian(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Projected curvature of the scaled Lagrangian at (z, y): one value
@@ -285,8 +289,10 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     nlp = _ScaledNlp(prob, x0, cfg.obj_scale)
     warm = cfg.initialization == "warm"
     push = _PUSH_WARM if warm else _PUSH_COLD
-    mu = cfg.mu0 if cfg.mu0 is not None else (1.0e-4 if warm else 0.1)
     mu_min = cfg.kkt_tolerance / 11.0
+    # a warm start sits next to the previous optimum, which converged at
+    # mu_min: starting higher only walks the barrier back down
+    mu = cfg.mu0 if cfg.mu0 is not None else (mu_min if warm else 0.1)
 
     # start point: map x0 in, initialize slacks at the range values
     z = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, push)
@@ -308,7 +314,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     it = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        gL = g + J.T @ y - vl + vu
+        jty = nlp.jac_t_dot(J, y)
+        gL = g + jty - vl + vu
         sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
         sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
         comp0 = _complementarity(z, vl, vu, nlp.lz, nlp.uz, 0.0)
@@ -334,7 +341,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         sigma = vl / zl + vu / zu
         grad_mu = g - mu / zl + mu / zu
 
-        grad_y = grad_mu + J.T @ y
+        grad_y = grad_mu + jty
         w = nlp.hessian(z, y)
         step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, J, np.concatenate([-grad_y, -c]), delta_w)
         if step is None:
@@ -406,7 +413,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         if z is not z_opt:
             f, g = nlp.objective(z)
 
-    gL = g + J.T @ y - vl + vu
+    gL = g + nlp.jac_t_dot(J, y) - vl + vu
     sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
     sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
     kkt_final = max(
@@ -425,20 +432,6 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         iterations=it,
         status=status,
         log=log,
-    )
-
-
-def solve(prob: OcpProblem, init: np.ndarray, cfg: SolverConfig) -> OcpSolution:
-    """Solve a controller problem and map the result onto the action layout."""
-    res = minimize(prob, init, cfg)
-    return OcpSolution(
-        actions=prob.extract_actions(res.x),
-        objective=res.objective,
-        kkt_residual=res.kkt_residual,
-        feasibility=res.feasibility,
-        iterations=res.iterations,
-        status=res.status,
-        x=res.x,
     )
 
 

@@ -366,6 +366,6 @@ class TestOneModel:
         row = prob.m_eq + prob.rg_names.index("plant_power[0]")
         for _ in range(200):
             x = euler_consistent_point(prob, rng)
-            action = prob.extract_actions(x)[0]
+            action = prob.first_action(x)
             res = el.step(state, action, 15.0, params)
             assert res.power_kw == prob.constraints_residual(x)[row]

@@ -350,6 +350,26 @@ class TestHessianBlocks:
             worst = np.max(np.abs(exact - fd) / np.maximum(scale, 1e-300))
             assert worst < 1e-6, (a, worst)
 
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_blocks_reuse_the_jacobian_evaluation(self, strategy, params, state, monkeypatch):
+        # at the point of the last Jacobian evaluation the blocks come from
+        # that evaluation's second partials, bit for bit; anywhere else,
+        # even the same array changed in place, the model runs again
+        prob = commitment_problem(strategy, state, params)
+        rng = np.random.default_rng(22)
+        x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
+        lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
+        fresh = prob.hessian_blocks(x, 1.0, lam)
+        prob.constraints_and_jacobian(x)
+        calls = []
+        real = el.stack_point
+        monkeypatch.setattr(el, "stack_point", lambda *args: calls.append(args) or real(*args))
+        assert np.array_equal(prob.hessian_blocks(x.copy(), 1.0, lam), fresh)
+        assert calls == []
+        x[prob.nonlinear_blocks()[0, 0]] *= 1.0 + 1e-3
+        assert not np.array_equal(prob.hessian_blocks(x, 1.0, lam), fresh)
+        assert len(calls) == 1
+
 
 class TestFeasibleSetInclusion:
     def test_hf_ms_never_worse_than_hf_ss(self, params, state):

@@ -269,6 +269,35 @@ class TestCompare:
         assert tot_a <= tot_b + 1e-6
 
 
+class TestWarmStarts:
+    def test_bundled_lf_ms_day_needs_few_warm_iterations(self, plant, dam_csv_path, rtm_csv_path, monkeypatch):
+        # a warm start begins at the barrier level the previous solve
+        # converged at, instead of walking mu back down from far above it
+        dam = market.load_price_csv(dam_csv_path, resolution_minutes=60)
+        rtm = market.load_price_csv(rtm_csv_path, resolution_minutes=15)
+        real_solve = rollout.solve
+        warm_iterations = []
+
+        def solve(prob, init, cfg):
+            sol = real_solve(prob, init, cfg)
+            if cfg.initialization == "warm":
+                warm_iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(rollout, "solve", solve)
+        day = date(2022, 1, 2)
+        state = PlantState(
+            membrane_um=plant.membrane_thickness_initial,
+            storage_kmol=0.6 * plant.storage_capacity,
+            clock=datetime(2022, 1, 2),
+        )
+        log = rollout.run(ocp.StrategyKind.LF_MS, state, dam, rtm, day, day, plant)
+        assert not any(log.flagged)
+        # every step but the bootstrap, 09:00 and the one after it
+        assert len(warm_iterations) == 93
+        assert np.median(warm_iterations) <= 8
+
+
 _MIXED = st.one_of(
     st.builds(lambda mant, exp: mant * 10.0**exp, st.floats(-1.0, 1.0), st.integers(-20, 20)),
     st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 2.0**-60]),

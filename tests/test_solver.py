@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
     _EIG_FLOOR, _PUSH_COLD, SolverConfig, _KktLayout, _ScaledNlp, _project_blocks, _push_interior,
-    minimize, solve,
+    minimize,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -155,11 +156,13 @@ class TestSolverContract:
 
     def test_solution_mapping(self, params, state):
         prob = _electrolyzer_problem(params, state, H=4, seed=26)
-        sol = solve(prob, cold_start(prob), SolverConfig())
+        sol = minimize(prob, cold_start(prob), SolverConfig())
         assert sol.ok
-        assert len(sol.actions) == 4
-        for act in sol.actions:
-            act.validate(params)
+        # the applied action is the plan's first step, field by field
+        act = prob.first_action(sol.x)
+        act.validate(params)
+        fields = ("p_dam", "p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out")
+        assert dataclasses.astuple(act) == tuple(float(sol.x[prob.idx[f][0]]) for f in fields)
 
     def test_idle_polish_evaluates_nothing_again(self):
         # linear rows land at roundoff, so the polish takes no step and the
@@ -176,6 +179,19 @@ class TestSolverContract:
         res = minimize(prob, np.array([9.0, -7.0]), raw_cfg())
         assert res.ok
         assert prob.jac_calls == 2 + len(res.log)
+
+    def test_warm_start_begins_at_the_converged_barrier(self, params, state):
+        # the previous optimum converged at mu = kkt_tolerance / 11, and a
+        # warm start from it begins there; an explicit mu0 still wins
+        first = _electrolyzer_problem(params, state, H=10, seed=27)
+        prev = minimize(first, cold_start(first), SolverConfig())
+        prob = _electrolyzer_problem(params, state, H=10, seed=28)
+        warm = minimize(prob, prev.x, SolverConfig(initialization="warm"))
+        assert warm.ok
+        assert warm.log[0].mu == SolverConfig().kkt_tolerance / 11.0
+        pinned = minimize(prob, prev.x, SolverConfig(initialization="warm", mu0=1.0e-2))
+        assert pinned.ok
+        assert pinned.log[0].mu == 1.0e-2
 
     @pytest.mark.parametrize("bound", ["lb", "ub", "rg_lb", "rg_ub"])
     def test_nonfinite_bound_rejected(self, bound):
@@ -250,6 +266,15 @@ class TestSparsityLayout:
         assert np.array_equal(K.indptr, ref.indptr)
         assert np.array_equal(K.indices, ref.indices)
         assert np.array_equal(K.data, ref.data)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_transpose_product_equals_scipy(self, strategy, params, state):
+        # J.T @ y from the laid-out pattern sums in scipy's order, bit for bit
+        prob = commitment_problem(strategy, state, params)
+        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4)
+        _, J, _ = nlp.constraints(nlp.z_from_x_full(cold_start(prob), nlp.res0[prob.m_eq :]))
+        y = np.random.default_rng(6).normal(size=J.shape[0]) * np.logspace(-6, 6, J.shape[0])
+        assert np.array_equal(nlp.jac_t_dot(J, y), J.T @ y)
 
     def test_changed_jacobian_pattern_is_rejected(self):
         class ShiftingPattern(Quadratic):
