@@ -6,8 +6,9 @@ equality residuals, nonlinear range constraints, objective, exact first
 derivatives and the Lagrangian's second derivatives are all assembled
 here; the solver module only sees the generic evaluator surface. Each
 constraint block is declared once, in ``OcpProblem._row_blocks``: its
-name, residual and Jacobian terms. Row names, the residual vector and the
-Jacobian's CSR layout, fixed in ``build``, are all read from that table.
+name, residual and Jacobian terms. Each block's row slice, the residual
+vector and the Jacobian's CSR layout, fixed in ``build``, are all read
+from that table; variable and row names derive from the layout on demand.
 
 Strategy differences:
 
@@ -24,6 +25,7 @@ Strategy differences:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +35,7 @@ import scipy.sparse as sp
 
 from . import electrolyzer, units
 from .params import ControlAction, PlantParams, PlantState
+from .solver import Multipliers, SolveResult, Start
 
 # pinned stack current of the constant-operation benchmark [A]
 CO_FIXED_CURRENT_A = 3.526e4
@@ -90,7 +93,6 @@ class OcpProblem:
     n: int
     lb: np.ndarray
     ub: np.ndarray
-    names: list[str]
     idx: dict[str, np.ndarray]
     eps_const_um: float
     dam_price: np.ndarray
@@ -100,8 +102,6 @@ class OcpProblem:
     tie_pairs: np.ndarray  # (k, 2) free-DAM tie (t, t0) step pairs
     # fixed by _fix_layout from the row table
     m_eq: int = 0
-    eq_names: list[str] = field(default_factory=list)
-    rg_names: list[str] = field(default_factory=list)
     _rows: dict[str, slice] = field(repr=False, default_factory=dict)
     _jac_order: np.ndarray = field(repr=False, default=None)
     _jac_indices: np.ndarray = field(repr=False, default=None)
@@ -114,6 +114,23 @@ class OcpProblem:
     @property
     def high_fidelity(self) -> bool:
         return self.strategy.high_fidelity
+
+    # names, ``field[t]`` and ``block[i]``, derived from the layout at first use
+    @functools.cached_property
+    def names(self) -> list[str]:
+        return [f"{f_name}[{t}]" for f_name, cols in self.idx.items() for t in range(len(cols))]
+
+    @functools.cached_property
+    def _row_names(self) -> list[str]:
+        return [f"{name}[{i}]" for name, rows in self._rows.items() for i in range(rows.stop - rows.start)]
+
+    @property
+    def eq_names(self) -> list[str]:
+        return self._row_names[: self.m_eq]
+
+    @property
+    def rg_names(self) -> list[str]:
+        return self._row_names[self.m_eq :]
 
     def _stack_columns(self) -> list[np.ndarray]:
         """Columns of the stack-point inputs: temperature, current and
@@ -285,12 +302,12 @@ class OcpProblem:
         layout. No entry repeats, so the layout is canonical CSR.
         """
         blocks = self._row_blocks(0.5 * (self.lb + self.ub))
-        names: list[str] = []
+        m = 0
         rows, cols = [], []
         for name, res, terms in blocks:
-            self._rows[name] = slice(len(names), len(names) + len(res))
-            block_rows = np.arange(len(names), len(names) + len(res))
-            names.extend(f"{name}[{i}]" for i in range(len(res)))
+            self._rows[name] = slice(m, m + len(res))
+            block_rows = np.arange(m, m + len(res))
+            m += len(res)
             for columns, _ in terms:
                 rows.append(block_rows)
                 cols.append(columns)
@@ -298,11 +315,10 @@ class OcpProblem:
         self._jac_order = np.argsort(rows * self.n + cols, kind="stable")
         # int32, scipy's own choice at this size: it would copy int64 indices at every wrap
         self._jac_indices = cols[self._jac_order].astype(np.int32)
-        self._jac_indptr = np.searchsorted(rows[self._jac_order], np.arange(len(names) + 1)).astype(np.int32)
+        self._jac_indptr = np.searchsorted(rows[self._jac_order], np.arange(m + 1)).astype(np.int32)
         # every returned Jacobian shares these; they must never change
         self._jac_indices.flags.writeable = self._jac_indptr.flags.writeable = False
-        self.m_eq = len(names) - len(self.rg_lb)
-        self.eq_names, self.rg_names = names[: self.m_eq], names[self.m_eq :]
+        self.m_eq = m - len(self.rg_lb)
 
     def _check_finite(self, x: np.ndarray, what: str) -> None:
         if len(x) != self.n:
@@ -366,11 +382,10 @@ def build(
     if hf:
         sizes["eps"] = H + 1
     idx: dict[str, np.ndarray] = {}
-    names: list[str] = []
+    n = 0
     for f_name, size in sizes.items():
-        idx[f_name] = np.arange(len(names), len(names) + size, dtype=np.int64)
-        names.extend(f"{f_name}[{t}]" for t in range(size))
-    n = len(names)
+        idx[f_name] = np.arange(n, n + size, dtype=np.int64)
+        n += size
 
     pmax_mw = units.kw_to_mw(p.plant_power_max)
     i_lo, i_hi = p.current_bounds()
@@ -451,7 +466,6 @@ def build(
         n=n,
         lb=lb,
         ub=ub,
-        names=names,
         idx=idx,
         eps_const_um=state.membrane_um,
         dam_price=dam_price,
@@ -484,20 +498,52 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     return x
 
 
-def warm_start_from(prob: OcpProblem, prev: OcpProblem, x_prev: np.ndarray) -> np.ndarray:
+def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveResult) -> Start:
     """Shift the previous solution onto a new horizon by absolute step.
 
-    Steps the previous solve did not cover keep the cold-start value.
+    The multipliers shift with it when ``prev_sol`` carries them: bound
+    multipliers per variable field, row multipliers per constraint block.
+    Steps the previous solve did not cover keep the cold-start value, and
+    rows or bounds with no predecessor start at zero, as do the hourly
+    day-ahead tie rows (only a horizon with free day-ahead steps has them,
+    and the closed loop starts none of those warm).
     """
     x = cold_start(prob)
     shift = prob.abs_step0 - prev.abs_step0
+    moved = []  # (new, old) variable columns at equal absolute steps
     for f_name, new in prob.idx.items():
         if f_name in prev.idx:
             old = prev.idx[f_name]
-            lo = max(0, -shift)
-            hi = max(lo, min(len(new), len(old) - shift))
-            x[new[lo:hi]] = x_prev[old[lo + shift : hi + shift]]
+            at, src = _shifted(len(new), len(old), shift)
+            moved.append((new[at], old[src]))
+            x[new[at]] = prev_sol.x[old[src]]
     # fixed entries always win
     fixed = prob.ub - prob.lb <= 0.0
     x[fixed] = prob.lb[fixed]
-    return x
+    mult = prev_sol.multipliers
+    if mult is None:
+        return Start(x)
+
+    n, m_rg = prob.n, len(prob.rg_lb)
+    rows, lower, upper = np.zeros(prob.m_eq + m_rg), np.zeros(n + m_rg), np.zeros(n + m_rg)
+    for new, old in moved:
+        lower[new], upper[new] = mult.lower[old], mult.upper[old]
+    for name, new in prob._rows.items():
+        old = prev._rows.get(name)
+        if old is None or name == "dam_tie":  # tie rows go by hour, not by step
+            continue
+        at, src = _shifted(new.stop - new.start, old.stop - old.start, shift)
+        rows[new][at] = mult.rows[old][src]
+        if new.start >= prob.m_eq:  # a range row: its slack's bounds too
+            new_s = slice(n - prob.m_eq + new.start, n - prob.m_eq + new.stop)
+            old_s = slice(prev.n - prev.m_eq + old.start, prev.n - prev.m_eq + old.stop)
+            lower[new_s][at], upper[new_s][at] = mult.lower[old_s][src], mult.upper[old_s][src]
+    return Start(x, Multipliers(rows=rows, lower=lower, upper=upper))
+
+
+def _shifted(n_new: int, n_old: int, shift: int) -> tuple[slice, slice]:
+    """Slices of a new and an old per-step array whose entries sit at the
+    same absolute step, the new one starting ``shift`` steps later."""
+    lo = max(0, -shift)
+    hi = max(lo, min(n_new, n_old - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)

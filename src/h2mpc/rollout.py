@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
-import numpy as np
-
 from . import electrolyzer, ocp, units
 from .market import settle, step_in_day
 from .params import ControlAction, CostLedger, DamCommitment, PlantParams, PlantState, PriceSeries
@@ -277,7 +275,7 @@ def run(
     state = initial_state
     commitments: dict[date, DamCommitment] = {}
     prev_prob: ocp.OcpProblem | None = None
-    prev_x: np.ndarray | None = None
+    prev_sol: SolveResult | None = None
     prev_action: ControlAction | None = None
 
     # CO misses the supply setpoint by 0.014% by construction; optimizing
@@ -325,8 +323,8 @@ def run(
         # wedge the barrier method instead of helping it
         warm = prev_prob is not None and prev_prob.horizon == prob.horizon + 1
         if warm:
-            x0 = ocp.warm_start_from(prob, prev_prob, prev_x)
-            sol = solve(prob, x0, SolverConfig(initialization="warm", max_iterations=400))
+            start = ocp.warm_start_from(prob, prev_prob, prev_sol)
+            sol = solve(prob, start, SolverConfig(initialization="warm", max_iterations=400))
         if not warm or not sol.ok:
             sol = solve(prob, ocp.cold_start(prob), SolverConfig())
             for overrides in _RETRY_LADDER:
@@ -394,7 +392,7 @@ def run(
         state = result.state
         prev_action = action
         if usable:
-            prev_prob, prev_x = prob, sol.x
+            prev_prob, prev_sol = prob, sol
 
     log.commitments = commitments
     _verify_ledger(log)

@@ -14,6 +14,10 @@ nonlinear (``hessian_blocks``); each scaled block is projected onto
 eigenvalues at or above a floor, the convexification acados applies to
 stage Hessians, so the curvature stays positive definite.
 
+A start may carry multipliers (``Start``); every result returns its own,
+unscaled, so the closed loop can shift them onto its next problem as it
+shifts the plan, whatever that problem's scaling.
+
 Every variable and range bound must be finite; ``minimize`` rejects a
 problem with an infinite one. Everything is deterministic: identical
 (problem, start, config) yields an identical iterate sequence.
@@ -56,6 +60,29 @@ class IterationRecord:
     feasibility: float
 
 
+@dataclass(frozen=True)
+class Multipliers:
+    """A problem's multipliers, unscaled and in full space.
+
+    ``rows`` has one per constraint row, equalities then ranges (a range
+    row's multiplier is that of c_rg(x) - s = 0 for its slack s).
+    ``lower`` and ``upper`` have one per variable, then one per range row,
+    for its lower and upper bound; a fixed variable's are zero.
+    """
+
+    rows: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+@dataclass(frozen=True)
+class Start:
+    """A start point, with the multipliers to begin from when it has them."""
+
+    x: np.ndarray
+    multipliers: Multipliers | None = None
+
+
 @dataclass
 class SolveResult:
     x: np.ndarray
@@ -64,6 +91,7 @@ class SolveResult:
     feasibility: float
     iterations: int
     status: str
+    multipliers: Multipliers
     log: list[IterationRecord] = field(default_factory=list)
 
     @property
@@ -81,13 +109,12 @@ _S_MAX = 100.0
 _ARMIJO_ETA = 1.0e-4
 _MAX_BACKTRACKS = 40
 _PUSH_COLD = 1.0e-2
-_PUSH_WARM = 1.0e-4
+_PUSH_WARM = 1.0e-12
 # smallest eigenvalue a projected curvature block keeps (scaled problem)
 _EIG_FLOOR = 1.0e-8
-# cold starts discard least-squares multipliers larger than this (IPOPT's
-# constr_mult_init_max); a warm start sits next to the previous solution,
-# where they approximate its multipliers however large, and keeps them
-_COLD_DUAL_MAX = 1.0e3
+# a start without multipliers discards least-squares ones larger than this
+# (IPOPT's constr_mult_init_max)
+_LS_DUAL_MAX = 1.0e3
 
 
 class _ScaledNlp:
@@ -117,6 +144,10 @@ class _ScaledNlp:
         self.nz = self.n_free + self.m_rg
         self.lz = np.concatenate([lb[self.free] / self.dx, self.rg_lb / self.ds])
         self.uz = np.concatenate([ub[self.free] / self.dx, self.rg_ub / self.ds])
+        # each z entry's place among a Multipliers' bounds, and the factor
+        # from an unscaled bound multiplier to that entry's
+        self.bound_pos = np.concatenate([self.free, len(lb) + np.arange(self.m_rg)])
+        self.bound_scale = obj_scale * np.concatenate([self.dx, self.ds])
 
         self.res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0_full[self.free] / self.dx))
         m = self.m_eq + self.m_rg
@@ -173,6 +204,22 @@ class _ScaledNlp:
 
     def z_from_x_full(self, x_full: np.ndarray, s_unscaled: np.ndarray) -> np.ndarray:
         return np.concatenate([x_full[self.free] / self.dx, s_unscaled / self.ds])
+
+    # the scaled problem's multipliers are those of obj_scale * L in z
+    def duals_in(self, mult: Multipliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y, vl, vu) of the scaled problem from unscaled full-space ones."""
+        return (
+            self.obj_scale * mult.rows / self.row_scale,
+            self.bound_scale * mult.lower[self.bound_pos],
+            self.bound_scale * mult.upper[self.bound_pos],
+        )
+
+    def duals_out(self, y: np.ndarray, vl: np.ndarray, vu: np.ndarray) -> Multipliers:
+        """The inverse of ``duals_in``; fixed variables get zeros."""
+        lower, upper = np.zeros((2, len(self.x_template) + self.m_rg))
+        lower[self.bound_pos] = vl / self.bound_scale
+        upper[self.bound_pos] = vu / self.bound_scale
+        return Multipliers(rows=y * self.row_scale / self.obj_scale, lower=lower, upper=upper)
 
     # evaluators ------------------------------------------------------
     def objective(self, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -263,11 +310,14 @@ class _KktLayout:
         return K
 
 
-def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
+def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     """Solve a problem exposing the OcpProblem evaluator surface.
 
-    ``x0`` is a full-space start; fixed variables are forced to their
-    pinned values, free ones are pushed strictly inside their bounds.
+    ``start`` is a full-space point, or a ``Start`` that may also carry
+    multipliers; fixed variables are forced to their pinned values, free
+    ones are pushed strictly inside their bounds. Carried multipliers are
+    scaled into this solve and clipped to the barrier's safeguard; a start
+    without them gets least-squares estimates.
     ``lb``/``ub`` and ``rg_lb``/``rg_ub`` must be finite: a non-finite
     bound raises ValueError.
     ``constraints_and_jacobian`` must return a CSR Jacobian whose sparsity
@@ -277,7 +327,9 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     which the Lagrangian is linear, and ``hessian_blocks`` its (H, k, k)
     curvature on them.
     """
-    x0 = np.asarray(x0, dtype=float)
+    if not isinstance(start, Start):
+        start = Start(start)
+    x0 = np.asarray(start.x, dtype=float)
     if len(x0) != prob.n:
         raise ValueError(f"start vector has length {len(x0)}, expected {prob.n}")
     lb_full = np.asarray(prob.lb, dtype=float)
@@ -297,15 +349,19 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
     # start point: map x0 in, initialize slacks at the range values
     z = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, push)
 
-    vl = mu / np.maximum(z - nlp.lz, 1.0e-12)
-    vu = mu / np.maximum(nlp.uz - z, 1.0e-12)
-
     m = nlp.m_eq + nlp.m_rg
     f, g = nlp.objective(z)
     c, J, feas = nlp.constraints(z)
-    y = _least_squares_duals(g, J, vl, vu, math.inf if warm else _COLD_DUAL_MAX)
+    if start.multipliers is not None:
+        y, vl, vu = nlp.duals_in(start.multipliers)
+        vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
+    else:
+        vl = mu / np.maximum(z - nlp.lz, 1.0e-12)
+        vu = mu / np.maximum(nlp.uz - z, 1.0e-12)
+        y = _least_squares_duals(g, J, vl, vu)
 
-    kkt = _KktLayout(nlp.hess_rows, nlp.hess_cols, J)
+    # laid out at the first Newton step: a start that is already optimal needs none
+    kkt = None
     nu = 1.0
     tau = max(_TAU_MIN, 1.0 - mu)
     log: list[IterationRecord] = []
@@ -343,6 +399,8 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
 
         grad_y = grad_mu + jty
         w = nlp.hessian(z, y)
+        if kkt is None:
+            kkt = _KktLayout(nlp.hess_rows, nlp.hess_cols, J)
         step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, J, np.concatenate([-grad_y, -c]), delta_w)
         if step is None:
             status = "singular_kkt"
@@ -431,6 +489,7 @@ def minimize(prob, x0: np.ndarray, cfg: SolverConfig) -> SolveResult:
         feasibility=feas,
         iterations=it,
         status=status,
+        multipliers=nlp.duals_out(y, vl, vu),
         log=log,
     )
 
@@ -485,9 +544,9 @@ def _dual_safeguard(z, vl, vu, lz, uz, mu):
     return vl, vu
 
 
-def _least_squares_duals(g, J, vl, vu, y_max):
+def _least_squares_duals(g, J, vl, vu):
     """Initial multipliers from min ||g + J^T y - vl + vu||; zero when that
-    fails or any of them exceeds ``y_max`` in magnitude."""
+    fails or any of them exceeds ``_LS_DUAL_MAX`` in magnitude."""
     m = J.shape[0]
     rhs = -(J @ (g - vl + vu))
     JJt = (J @ J.T).tocsc() + 1.0e-8 * sp.identity(m, format="csc")
@@ -495,7 +554,7 @@ def _least_squares_duals(g, J, vl, vu, y_max):
         y = spla.splu(JJt).solve(rhs)
     except RuntimeError:
         return np.zeros(m)
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > y_max:
+    if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > _LS_DUAL_MAX:
         return np.zeros(m)
     return y
 

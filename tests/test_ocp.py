@@ -6,7 +6,7 @@ from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import BuildError, StrategyKind, build, cold_start, warm_start_from
 from h2mpc.params import PlantParams, PlantState
-from h2mpc.solver import SolverConfig, minimize
+from h2mpc.solver import Multipliers, SolverConfig, Start, minimize
 
 
 def make_problem(strategy, state, p, H=6, dam_fixed=None, seed=0, step0=0):
@@ -409,7 +409,9 @@ class TestStarts:
             StrategyKind.HF_MS, state, [55.0] * 6,
             np.full(6, 30.0), np.full(6, 40.0), 1, params, abs_step0=1,
         )
-        xb = warm_start_from(b, a, xa)
+        start = warm_start_from(b, a, Start(xa))
+        assert start.multipliers is None
+        xb = start.x
         cold = cold_start(b)
         for f in ("p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"):
             assert np.array_equal(xb[b.idx[f]][:5], xa[a.idx[f]][1:]), f
@@ -418,3 +420,33 @@ class TestStarts:
             assert xb[b.idx[f]][0] == b.lb[b.idx[f]][0]  # pinned state wins
             assert np.array_equal(xb[b.idx[f]][1:6], xa[a.idx[f]][2:]), f
             assert xb[b.idx[f]][6] == cold[b.idx[f]][6], f
+
+    def test_warm_start_shifts_multipliers_by_absolute_step(self, params, state):
+        # bootstrap-shaped horizons of free day-ahead hours, b one step later
+        a = make_problem(StrategyKind.HF_MS, state, params, H=8, dam_fixed=[None] * 8)
+        b = build(
+            StrategyKind.HF_MS, state, [None] * 8, np.full(8, 30.0), np.full(8, 40.0), 1, params,
+            abs_step0=1,
+        )
+        rng = np.random.default_rng(14)
+        m_a, m_rg = a.m_eq + len(a.rg_lb), len(a.rg_lb)
+        mult = Multipliers(
+            rows=rng.normal(size=m_a), lower=rng.uniform(1, 2, a.n + m_rg), upper=rng.uniform(1, 2, a.n + m_rg)
+        )
+        got = warm_start_from(b, a, Start(cold_start(a), mult)).multipliers
+        for f in a.idx:
+            for mine, theirs in ((got.lower, mult.lower), (got.upper, mult.upper)):
+                assert np.array_equal(mine[b.idx[f]][:-1], theirs[a.idx[f]][1:]), f
+                assert mine[b.idx[f]][-1] == 0.0, f  # beyond a's horizon
+        for name, rows in b._rows.items():
+            if name == "dam_tie":
+                continue
+            assert np.array_equal(got.rows[rows][:7], mult.rows[a._rows[name]][1:]), name
+            assert got.rows[rows][7] == 0.0, name
+            if rows.start >= b.m_eq:  # the range slack's bound multipliers
+                new = np.arange(rows.start, rows.stop) - b.m_eq + b.n
+                old = np.arange(a._rows[name].start, a._rows[name].stop) - a.m_eq + a.n
+                assert np.array_equal(got.lower[new][:7], mult.lower[old][1:]), name
+                assert np.array_equal(got.upper[new][:7], mult.upper[old][1:]), name
+                assert got.lower[new][7] == got.upper[new][7] == 0.0, name
+        assert len(b.tie_pairs) and not np.any(got.rows[b._rows["dam_tie"]])

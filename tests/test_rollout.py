@@ -183,7 +183,7 @@ def fail_solves_at(monkeypatch, abs_step):
         sol = real_solve(prob, init, cfg)
         if prob.abs_step0 != abs_step:
             return sol
-        attempts.append(cfg)
+        attempts.append((cfg, init))
         return dataclasses.replace(sol, status="line_search_failed")
 
     monkeypatch.setattr(rollout, "solve", solve)
@@ -204,6 +204,11 @@ class TestFailedSolveFallback:
         assert len(log) == 96
         # warm, cold, then every rung of the retry ladder
         assert len(attempts) == 2 + len(rollout._RETRY_LADDER)
+        assert [cfg.initialization for cfg, _ in attempts] == ["warm"] + ["cold"] * (1 + len(rollout._RETRY_LADDER))
+        assert [cfg.mu0 for cfg, _ in attempts[2:]] == [rung.get("mu0") for rung in rollout._RETRY_LADDER]
+        # only the warm start carries multipliers; the cold ones are points
+        assert attempts[0][1].multipliers is not None
+        assert all(isinstance(init, np.ndarray) for _, init in attempts[1:])
         assert [i for i, f in enumerate(log.flagged) if f] == [FAILED_STEP]
         act, prev = log.actions[FAILED_STEP], log.actions[FAILED_STEP - 1]
         assert act.p_dam_mw == log.commitments[START].mw_at_step(FAILED_STEP)
@@ -271,8 +276,8 @@ class TestCompare:
 
 class TestWarmStarts:
     def test_bundled_lf_ms_day_needs_few_warm_iterations(self, plant, dam_csv_path, rtm_csv_path, monkeypatch):
-        # a warm start begins at the barrier level the previous solve
-        # converged at, instead of walking mu back down from far above it
+        # a warm start carries the previous solve's plan and multipliers and
+        # begins at the barrier level that solve converged at
         dam = market.load_price_csv(dam_csv_path, resolution_minutes=60)
         rtm = market.load_price_csv(rtm_csv_path, resolution_minutes=15)
         real_solve = rollout.solve
@@ -295,7 +300,7 @@ class TestWarmStarts:
         assert not any(log.flagged)
         # every step but the bootstrap, 09:00 and the one after it
         assert len(warm_iterations) == 93
-        assert np.median(warm_iterations) <= 8
+        assert np.median(warm_iterations) <= 4
 
 
 _MIXED = st.one_of(

@@ -7,12 +7,12 @@ import scipy.sparse as sp
 
 from _oracles import commitment_problem
 from h2mpc import electrolyzer as el
-from h2mpc import ocp
+from h2mpc import ocp, solver
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
-    _EIG_FLOOR, _PUSH_COLD, SolverConfig, _KktLayout, _ScaledNlp, _project_blocks, _push_interior,
-    minimize,
+    _EIG_FLOOR, _PUSH_COLD, Multipliers, SolverConfig, Start, _KktLayout, _ScaledNlp, _project_blocks,
+    _push_interior, minimize,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -192,6 +192,34 @@ class TestSolverContract:
         pinned = minimize(prob, prev.x, SolverConfig(initialization="warm", mu0=1.0e-2))
         assert pinned.ok
         assert pinned.log[0].mu == 1.0e-2
+
+    @pytest.mark.parametrize("obj_scale", [1.0e-5, 1.0e-3])
+    def test_own_optimum_and_multipliers_are_optimal_at_once(self, obj_scale, params, state, monkeypatch):
+        # the multipliers come back unscaled, so a re-solve under another
+        # objective scale maps them into its own scaling and stops at its
+        # first KKT check, having laid out no KKT matrix
+        prob = _electrolyzer_problem(params, state, H=10, seed=29)
+        sol = minimize(prob, cold_start(prob), SolverConfig())
+        assert sol.ok
+        fixed = prob.ub - prob.lb <= 0.0
+        assert not np.any(sol.multipliers.lower[: prob.n][fixed])
+        assert not np.any(sol.multipliers.upper[: prob.n][fixed])
+        layouts = []
+        monkeypatch.setattr(solver, "_KktLayout", lambda *a: layouts.append(a) or _KktLayout(*a))
+        again = minimize(prob, Start(sol.x, sol.multipliers), SolverConfig(initialization="warm", obj_scale=obj_scale))
+        assert again.ok
+        assert again.iterations == 1
+        assert layouts == []
+        assert np.allclose(again.multipliers.rows, sol.multipliers.rows, rtol=1e-12, atol=0.0)
+
+    def test_zero_carried_multipliers_are_safeguarded(self, params, state):
+        # a warm start gives rows and bounds with no predecessor zero
+        # multipliers; clipped up to the barrier's safeguard they still move
+        prob = _electrolyzer_problem(params, state, H=10, seed=29)
+        sol = minimize(prob, cold_start(prob), SolverConfig())
+        zeros = Multipliers(*(np.zeros_like(v) for v in dataclasses.astuple(sol.multipliers)))
+        again = minimize(prob, Start(sol.x, zeros), SolverConfig(initialization="warm"))
+        assert again.ok
 
     @pytest.mark.parametrize("bound", ["lb", "ub", "rg_lb", "rg_ub"])
     def test_nonfinite_bound_rejected(self, bound):
