@@ -100,13 +100,7 @@ def most_visited_temperature(log: TrajectoryLog) -> float:
     return float(temps[np.argmax(inside)])
 
 
-def kde_current_density(
-    log: TrajectoryLog,
-    temperature_level: float,
-    bandwidth: float | None = None,
-    grid: np.ndarray | None = None,
-    p: PlantParams | None = None,
-):
+def kde_current_density(log: TrajectoryLog, temperature_level: float, bandwidth: float | None = None):
     """Gaussian-kernel density of operating current density [A/cm2].
 
     Selects steps whose temperature sits within TEMP_MATCH_TOL_K of the
@@ -114,9 +108,8 @@ def kde_current_density(
     1.06 * sigma * m^(-1/5); the density integrates to one over the line.
     Returns (grid, density, samples).
     """
-    p = p or PlantParams()
     temps = np.array([a.temperature_k for a in log.actions])
-    j = np.array([a.current_a for a in log.actions]) / p.membrane_area_cm2
+    j = np.array([a.current_a for a in log.actions]) / PlantParams().membrane_area_cm2
     samples = j[np.abs(temps - temperature_level) < TEMP_MATCH_TOL_K]
     if len(samples) < 2:
         raise ValueError(
@@ -128,10 +121,9 @@ def kde_current_density(
         bandwidth = 1.06 * sigma * len(samples) ** (-0.2)
         if bandwidth <= 0.0:
             bandwidth = _DEGENERATE_BANDWIDTH
-    if grid is None:
-        lo = float(np.min(samples)) - 6.0 * bandwidth
-        hi = float(np.max(samples)) + 6.0 * bandwidth
-        grid = np.linspace(lo, hi, 1024)
+    lo = float(np.min(samples)) - 6.0 * bandwidth
+    hi = float(np.max(samples)) + 6.0 * bandwidth
+    grid = np.linspace(lo, hi, 1024)
     dens = np.zeros_like(grid)
     norm = 1.0 / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
     for s in samples:
@@ -140,10 +132,8 @@ def kde_current_density(
     return grid, dens, samples
 
 
-def write_kde_csv(
-    log: TrajectoryLog, temperature_level: float, path: str | Path, bandwidth=None
-) -> None:
-    grid, dens, _ = kde_current_density(log, temperature_level, bandwidth)
+def write_kde_csv(log: TrajectoryLog, temperature_level: float, path: str | Path) -> None:
+    grid, dens, _ = kde_current_density(log, temperature_level)
     lines = ["current_density_a_cm2,density"]
     lines += [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), dens.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -9,7 +9,7 @@ Subcommands:
            | cumcost)
 
 Dates are local market time, matching the price files. Exit codes: 0 on
-success, 2 on input errors, 3 on solver aborts (no usable solve at a
+success, 2 on input errors, 3 on solver aborts (no optimal solve at a
 commitment step, so no commitment could be frozen).
 """
 

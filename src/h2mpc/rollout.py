@@ -8,12 +8,14 @@ an immutable commitment. The very first step of a run performs a
 bootstrap solve with free day-ahead variables for its own day, since no
 earlier 09:00 solve exists to have committed it.
 
-A step whose solve is unusable is re-solved from the cold start point
-along a fixed ladder of barrier and objective scalings. If every attempt
-fails at a step that freezes a commitment, the run aborts with
-RolloutError rather than freezing a schedule from a failed iterate; at
-any other step the plant holds its operating point while buying exactly
-the committed day-ahead quantity, and the step is flagged.
+A step whose warm solve is not optimal, or that has no warm start, is
+solved from the cold start point along a fixed ladder of barrier and
+objective scalings until one solve is optimal; only an optimal solve's
+plan is applied or frozen. If every attempt fails at a step that freezes
+a commitment, the run aborts with RolloutError rather than freezing a
+schedule from a failed iterate; at any other step the plant holds its
+operating point while buying exactly the committed day-ahead quantity,
+and the step is flagged.
 
 Whatever model the controller used, the simulator always runs the
 high-fidelity physics, and the cost ledger always accounts membrane wear
@@ -183,15 +185,15 @@ def _prefix_fsum(values: list[float]) -> list[float]:
 # exactly onto the cap and drift strands it there
 COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
 
-# cold re-solves tried in order when a step's solve is unusable: a larger
+# cold solves tried in order until one is optimal: the default, a larger
 # and a smaller initial barrier parameter, then a heavier objective scale
-_RETRY_LADDER = ({"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
+_RETRY_LADDER = ({}, {"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
 
 
-def _usable(sol: SolveResult) -> bool:
-    # an iteration-capped solve that is nonetheless feasible still
-    # carries a usable plan
-    return sol.ok or (sol.status == "max_iterations" and sol.feasibility <= 1.0e-6)
+def _hourly_dam(prob: ocp.OcpProblem, x, first: int) -> tuple[float, ...]:
+    """A plan's 24 hourly day-ahead quantities for the day that starts at
+    horizon step ``first``."""
+    return tuple(float(x[prob.idx["p_dam"][first + units.STEPS_PER_HOUR * h]]) for h in range(24))
 
 
 def _fallback_action(
@@ -255,7 +257,7 @@ def run(
     """Roll the closed loop from start_day 00:00 through end_day 23:45.
 
     Raises RolloutError when no solve of a commitment step (the 09:00
-    solve or the first step's bootstrap) is usable: no commitment is
+    solve or the first step's bootstrap) is optimal: no commitment is
     frozen from a failed solve.
     """
     if end_day < start_day:
@@ -326,21 +328,17 @@ def run(
             start = ocp.warm_start_from(prob, prev_prob, prev_sol)
             sol = solve(prob, start, SolverConfig(initialization="warm", max_iterations=400))
         if not warm or not sol.ok:
-            sol = solve(prob, ocp.cold_start(prob), SolverConfig())
             for overrides in _RETRY_LADDER:
-                if _usable(sol):
-                    break
                 sol = solve(prob, ocp.cold_start(prob), SolverConfig(**overrides))
+                if sol.ok:
+                    break
 
-        flagged = not sol.ok
-        usable = _usable(sol)
-        commits = bootstrap or sid == units.COMMITMENT_STEP
-        if not usable and commits:
+        if not sol.ok and (bootstrap or sid == units.COMMITMENT_STEP):
             raise RolloutError(
                 f"every solve at {ts} failed ({sol.status}); "
-                "no commitment is frozen from an unusable solve"
+                "no commitment is frozen from a failed solve"
             )
-        if usable:
+        if sol.ok:
             action = prob.first_action(sol.x)
         else:
             action = _fallback_action(
@@ -349,17 +347,11 @@ def run(
 
         if sid == units.COMMITMENT_STEP:
             tomorrow = day + timedelta(days=1)
-            first = units.STEPS_PER_DAY - units.COMMITMENT_STEP  # tomorrow 00:00
-            block = [
-                float(sol.x[prob.idx["p_dam"][first + units.STEPS_PER_HOUR * h]])
-                for h in range(24)
-            ]
-            commitments[tomorrow] = DamCommitment(day=tomorrow, hourly_mw=tuple(block))
+            # tomorrow 00:00 sits STEPS_PER_DAY - COMMITMENT_STEP steps ahead
+            first = units.STEPS_PER_DAY - units.COMMITMENT_STEP
+            commitments[tomorrow] = DamCommitment(day=tomorrow, hourly_mw=_hourly_dam(prob, sol.x, first))
         if bootstrap:
-            block = [
-                float(sol.x[prob.idx["p_dam"][units.STEPS_PER_HOUR * h]]) for h in range(24)
-            ]
-            commitments[day] = DamCommitment(day=day, hourly_mw=tuple(block))
+            commitments[day] = DamCommitment(day=day, hourly_mw=_hourly_dam(prob, sol.x, 0))
 
         try:
             result = electrolyzer.step(
@@ -384,14 +376,14 @@ def run(
         log.elec_cost.append(elec)
         log.mem_cost.append(result.membrane_cost_usd)
         log.h2_ton.append(result.h2_produced_ton)
-        log.flagged.append(flagged)
+        log.flagged.append(not sol.ok)
         log.solver_iterations.append(sol.iterations)
         log.warm_started.append(warm)
         log.power_residual_mwh.append(result.power_balance_residual_mwh)
 
         state = result.state
         prev_action = action
-        if usable:
+        if sol.ok:
             prev_prob, prev_sol = prob, sol
 
     log.commitments = commitments

@@ -14,6 +14,11 @@ nonlinear (``hessian_blocks``); each scaled block is projected onto
 eigenvalues at or above a floor, the convexification acados applies to
 stage Hessians, so the curvature stays positive definite.
 
+A solve is ``optimal`` at the first iterate whose scaled KKT error is
+within ``KKT_TOLERANCE`` and whose raw infeasibility is within
+``FEASIBILITY_TOLERANCE``, and returns that iterate as it was checked;
+every other status is a failed solve.
+
 A start may carry multipliers (``Start``); every result returns its own,
 unscaled, so the closed loop can shift them onto its next problem as it
 shifts the plan, whatever that problem's scaling.
@@ -33,18 +38,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+KKT_TOLERANCE = 1.0e-6
+FEASIBILITY_TOLERANCE = 1.0e-8
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    kkt_tolerance: float = 1.0e-6
-    feasibility_tolerance: float = 1.0e-8
     max_iterations: int = 3000
     initialization: str = "cold"  # "cold" | "warm"
     obj_scale: float = 1.0e-4
     mu0: float | None = None  # default picked from initialization mode
 
     def __post_init__(self) -> None:
-        if self.kkt_tolerance <= 0.0 or self.feasibility_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.initialization not in ("cold", "warm"):
             raise ValueError("initialization must be 'cold' or 'warm'")
 
@@ -120,13 +125,15 @@ _LS_DUAL_MAX = 1.0e3
 class _ScaledNlp:
     """Reduced (fixed variables removed) and diagonally scaled problem.
 
-    z = [free variables / column scale ; range slacks / slack scale];
-    equality residuals are row-scaled from the Jacobian at the start point.
-    The scaled Jacobian's sparsity is laid out once, from the start-point
-    evaluation; later evaluations only refill its values.
+    z = [free variables / column scale ; range slacks / slack scale].
+    The one evaluation at the start ``z0`` (free variables pushed ``push``
+    inside their bounds, slacks at the range values there, pushed alike)
+    lays out the scaled Jacobian's sparsity, sets the row scaling and gives
+    the first iterate's ``(c, J, feas)`` as ``at_z0``; later evaluations
+    only refill the Jacobian's values.
     """
 
-    def __init__(self, prob, x0_full: np.ndarray, obj_scale: float):
+    def __init__(self, prob, x0_full: np.ndarray, obj_scale: float, push: float):
         lb = np.asarray(prob.lb, dtype=float)
         ub = np.asarray(prob.ub, dtype=float)
         self.prob = prob
@@ -149,7 +156,12 @@ class _ScaledNlp:
         self.bound_pos = np.concatenate([self.free, len(lb) + np.arange(self.m_rg)])
         self.bound_scale = obj_scale * np.concatenate([self.dx, self.ds])
 
-        self.res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(x0_full[self.free] / self.dx))
+        # the start: the one evaluation every solve makes before its loop
+        n = self.n_free
+        zx = _push_interior(x0_full[self.free] / self.dx, self.lz[:n], self.uz[:n], push)
+        res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(zx))
+        self.z0 = np.concatenate([zx, _push_interior(res0[self.m_eq :] / self.ds, self.lz[n:], self.uz[n:], push)])
+
         m = self.m_eq + self.m_rg
         self.jac_indptr = jac0.indptr.copy()
         pos = -np.ones(len(lb), dtype=np.int64)
@@ -193,6 +205,8 @@ class _ScaledNlp:
         self.hess_rows = np.broadcast_to(blk[:, :, None], kept.shape)[kept]
         self.hess_cols = np.broadcast_to(blk[:, None, :], kept.shape)[kept]
 
+        self.at_z0 = (self._scaled_residual(res0, self.z0), self._scaled_jacobian(jac0), self._infeasibility(res0))
+
     # mappings --------------------------------------------------------
     def _x_full_from(self, zx: np.ndarray) -> np.ndarray:
         x = self.x_template.copy()
@@ -201,9 +215,6 @@ class _ScaledNlp:
 
     def x_full(self, z: np.ndarray) -> np.ndarray:
         return self._x_full_from(z[: self.n_free])
-
-    def z_from_x_full(self, x_full: np.ndarray, s_unscaled: np.ndarray) -> np.ndarray:
-        return np.concatenate([x_full[self.free] / self.dx, s_unscaled / self.ds])
 
     # the scaled problem's multipliers are those of obj_scale * L in z
     def duals_in(self, mult: Multipliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,11 +249,7 @@ class _ScaledNlp:
         res, jac = self.prob.constraints_and_jacobian(x)
         if not np.array_equal(jac.indptr, self.jac_indptr):
             raise ValueError("the constraint Jacobian's sparsity pattern changed during the solve")
-        vals = np.concatenate([jac.data, -self.ds])[self.jac_src]
-        data = self.jac_row_scale * (vals * self.jac_col_scale)
-        layout = self.jac_layout
-        J = sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
-        return self._scaled_residual(res, z), J, self._infeasibility(res)
+        return self._scaled_residual(res, z), self._scaled_jacobian(jac), self._infeasibility(res)
 
     def jac_t_dot(self, J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
         """J.T @ y for a Jacobian in this solve's layout, without building
@@ -255,6 +262,12 @@ class _ScaledNlp:
         hx = self.prob.hessian_blocks(self.x_full(z), self.obj_scale, y * self.row_scale)
         hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
         return _project_blocks(hz).reshape(-1)[self.hess_keep]
+
+    def _scaled_jacobian(self, jac: sp.csr_matrix) -> sp.csr_matrix:
+        vals = np.concatenate([jac.data, -self.ds])[self.jac_src]
+        data = self.jac_row_scale * (vals * self.jac_col_scale)
+        layout = self.jac_layout
+        return sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
 
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds
@@ -337,21 +350,17 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     for bound in (lb_full, ub_full, prob.rg_lb, prob.rg_ub):
         if not np.all(np.isfinite(bound)):
             raise ValueError("every variable and range bound must be finite")
-    x0 = np.minimum(np.maximum(x0, lb_full), ub_full)
-    nlp = _ScaledNlp(prob, x0, cfg.obj_scale)
     warm = cfg.initialization == "warm"
-    push = _PUSH_WARM if warm else _PUSH_COLD
-    mu_min = cfg.kkt_tolerance / 11.0
+    nlp = _ScaledNlp(prob, np.minimum(np.maximum(x0, lb_full), ub_full), cfg.obj_scale,
+                     _PUSH_WARM if warm else _PUSH_COLD)
+    mu_min = KKT_TOLERANCE / 11.0
     # a warm start sits next to the previous optimum, which converged at
     # mu_min: starting higher only walks the barrier back down
     mu = cfg.mu0 if cfg.mu0 is not None else (mu_min if warm else 0.1)
 
-    # start point: map x0 in, initialize slacks at the range values
-    z = _push_interior(nlp.z_from_x_full(x0, nlp.res0[nlp.m_eq :]), nlp.lz, nlp.uz, push)
-
-    m = nlp.m_eq + nlp.m_rg
+    z = nlp.z0
     f, g = nlp.objective(z)
-    c, J, feas = nlp.constraints(z)
+    c, J, feas = nlp.at_z0
     if start.multipliers is not None:
         y, vl, vu = nlp.duals_in(start.multipliers)
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
@@ -372,24 +381,16 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     for it in range(1, cfg.max_iterations + 1):
         jty = nlp.jac_t_dot(J, y)
         gL = g + jty - vl + vu
-        sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
-        sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
-        comp0 = _complementarity(z, vl, vu, nlp.lz, nlp.uz, 0.0)
-        feas_scaled = float(np.max(np.abs(c), initial=0.0))
-        kkt0 = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp0 / sc)
+        kkt_err = _kkt_error(nlp, z, gL, c, y, vl, vu, 0.0)
 
-        if kkt0 <= cfg.kkt_tolerance and feas <= cfg.feasibility_tolerance:
+        if kkt_err <= KKT_TOLERANCE and feas <= FEASIBILITY_TOLERANCE:
             status = "optimal"
             break
 
-        comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu)
-        kkt_mu = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp_mu / sc)
-        while kkt_mu <= _KAPPA_EPS * mu and mu > mu_min:
+        while mu > mu_min and _kkt_error(nlp, z, gL, c, y, vl, vu, mu) <= _KAPPA_EPS * mu:
             mu = max(mu_min, min(_KAPPA_MU * mu, mu**_THETA_MU))
             tau = max(_TAU_MIN, 1.0 - mu)
             nu = 1.0
-            comp_mu = _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu)
-            kkt_mu = max(float(np.max(np.abs(gL))) / sd, feas_scaled, comp_mu / sc)
 
         # primal-dual Newton direction on the barrier KKT system
         zl = z - nlp.lz
@@ -462,30 +463,19 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         c, J, feas_t = nlp.constraints(z)
 
         merit_after = _merit(f, z, c, mu, nu, nlp)
-        log.append(IterationRecord(it, mu, merit0, merit_after, alpha, kkt0, feas))
+        log.append(IterationRecord(it, mu, merit0, merit_after, alpha, kkt_err, feas))
         feas = feas_t
 
-    if status == "optimal":
-        z_opt = z
-        z, c, J, feas = _feasibility_polish(nlp, z, c, J, feas, cfg.feasibility_tolerance)
-        if z is not z_opt:
-            f, g = nlp.objective(z)
-
-    gL = g + nlp.jac_t_dot(J, y) - vl + vu
-    sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, m + 2 * nlp.nz)) / _S_MAX
-    sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
-    kkt_final = max(
-        float(np.max(np.abs(gL), initial=0.0)) / sd,
-        float(np.max(np.abs(c), initial=0.0)),
-        _complementarity(z, vl, vu, nlp.lz, nlp.uz, 0.0) / sc,
-    )
+    if status == "max_iterations":
+        # the last accepted step moved the iterate past its KKT check
+        kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(J, y) - vl + vu, c, y, vl, vu, 0.0)
     x_final = nlp.x_full(z)
     obj_final, _ = prob.objective_and_gradient(x_final)
 
     return SolveResult(
         x=x_final,
         objective=obj_final,
-        kkt_residual=kkt_final,
+        kkt_residual=kkt_err,
         feasibility=feas,
         iterations=it,
         status=status,
@@ -501,6 +491,19 @@ def _push_interior(z, lz, uz, kappa):
     lo = lz + kappa * np.minimum(width, 1.0)
     hi = uz - kappa * np.minimum(width, 1.0)
     return np.minimum(np.maximum(z, lo), hi)
+
+
+def _kkt_error(nlp, z, gL, c, y, vl, vu, mu):
+    """Scaled KKT error of the mu-perturbed conditions: the Lagrangian
+    gradient ``gL`` and complementarity over their multiplier-size scalings,
+    and the scaled constraint residual ``c``."""
+    sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, len(y) + 2 * nlp.nz)) / _S_MAX
+    sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
+    return max(
+        float(np.max(np.abs(gL), initial=0.0)) / sd,
+        float(np.max(np.abs(c), initial=0.0)),
+        _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu) / sc,
+    )
 
 
 def _complementarity(z, vl, vu, lz, uz, mu):
@@ -579,34 +582,3 @@ def _solve_kkt(kkt, w, sigma, J, rhs, delta_w):
         delta_c = max(delta_c * 10.0, 1.0e-10)
         delta_w = max(delta_w * 10.0, 1.0e-8)
     return None, None, delta_w
-
-
-def _feasibility_polish(nlp: _ScaledNlp, z, c, J, feas, feas_tol: float):
-    """Newton least-norm projection onto the equality manifold.
-
-    Takes the constraints already evaluated at ``z`` and returns the
-    polished point with its own evaluation; ``z`` itself comes back when
-    no move is taken. Moves only coordinates comfortably away from their
-    bounds, so bound feasibility and complementarity survive; linear rows
-    land at roundoff and nonlinear rows contract quadratically.
-    """
-    for _ in range(3):
-        if float(np.max(np.abs(c), initial=0.0)) < 1.0e-14 or feas <= feas_tol * 1e-3:
-            break
-        cols = np.flatnonzero((z - nlp.lz > 1.0e-6) & (nlp.uz - z > 1.0e-6))
-        if not len(cols):
-            break
-        Ji = J.tocsc()[:, cols]
-        JJt = (Ji @ Ji.T).tocsc() + 1.0e-12 * sp.identity(J.shape[0], format="csc")
-        try:
-            w = spla.splu(JJt).solve(-c)
-        except RuntimeError:
-            break
-        dz_i = Ji.T @ w
-        z_t = z.copy()
-        z_t[cols] += dz_i
-        if not (np.all(z_t > nlp.lz) and np.all(z_t < nlp.uz)):
-            break
-        z = z_t
-        c, J, feas = nlp.constraints(z)
-    return z, c, J, feas

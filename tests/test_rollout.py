@@ -174,8 +174,9 @@ class TestRunValidation:
             )
 
 
-def fail_solves_at(monkeypatch, abs_step):
-    """Make every solve attempt at one absolute step unusable; count them."""
+def fail_solves_at(monkeypatch, abs_step, failure):
+    """Make every solve attempt at one absolute step end as ``failure`` (the
+    result fields it replaces); count the attempts."""
     real_solve = rollout.solve
     attempts = []
 
@@ -184,7 +185,7 @@ def fail_solves_at(monkeypatch, abs_step):
         if prob.abs_step0 != abs_step:
             return sol
         attempts.append((cfg, init))
-        return dataclasses.replace(sol, status="line_search_failed")
+        return dataclasses.replace(sol, **failure)
 
     monkeypatch.setattr(rollout, "solve", solve)
     return attempts
@@ -193,19 +194,26 @@ def fail_solves_at(monkeypatch, abs_step):
 FAILED_STEP = 50  # 12:30, neither a bootstrap nor a commitment step
 
 
+def with_failures(values):
+    """``values`` paired with a failed line search, then with an
+    iteration-capped solve at a feasible point, which is no less failed."""
+    failures = {"": {"status": "line_search_failed"}, "-capped": {"status": "max_iterations", "feasibility": 1e-9}}
+    return [pytest.param(v, f, id=f"{v}{suffix}") for suffix, f in failures.items() for v in values]
+
+
 class TestFailedSolveFallback:
-    @pytest.mark.parametrize("strategy", [ocp.StrategyKind.HF_SS, ocp.StrategyKind.HF_MS])
-    def test_fallback_keeps_the_commitment(self, strategy, plant, start_state, monkeypatch):
-        attempts = fail_solves_at(monkeypatch, FAILED_STEP)
+    @pytest.mark.parametrize("strategy, failure", with_failures([ocp.StrategyKind.HF_SS, ocp.StrategyKind.HF_MS]))
+    def test_fallback_keeps_the_commitment(self, strategy, failure, plant, start_state, monkeypatch):
+        attempts = fail_solves_at(monkeypatch, FAILED_STEP, failure)
         log = rollout.run(
             strategy, start_state, flat_two_days(25.0), flat_two_days(25.0),
             START, START, plant,
         )
         assert len(log) == 96
-        # warm, cold, then every rung of the retry ladder
-        assert len(attempts) == 2 + len(rollout._RETRY_LADDER)
-        assert [cfg.initialization for cfg, _ in attempts] == ["warm"] + ["cold"] * (1 + len(rollout._RETRY_LADDER))
-        assert [cfg.mu0 for cfg, _ in attempts[2:]] == [rung.get("mu0") for rung in rollout._RETRY_LADDER]
+        # warm, then every cold rung of the retry ladder
+        assert len(attempts) == 1 + len(rollout._RETRY_LADDER)
+        assert [cfg.initialization for cfg, _ in attempts] == ["warm"] + ["cold"] * len(rollout._RETRY_LADDER)
+        assert [cfg.mu0 for cfg, _ in attempts[1:]] == [rung.get("mu0") for rung in rollout._RETRY_LADDER]
         # only the warm start carries multipliers; the cold ones are points
         assert attempts[0][1].multipliers is not None
         assert all(isinstance(init, np.ndarray) for _, init in attempts[1:])
@@ -223,15 +231,15 @@ class TestFailedSolveFallback:
         settled = market.settle(log.actions, log.dam_price, log.rtm_price)
         assert abs(log.ledger().electricity_usd - settled) < 1e-6
 
-    @pytest.mark.parametrize("abs_step", [0, units.COMMITMENT_STEP])
-    def test_no_commitment_frozen_from_a_failed_solve(self, abs_step, plant, start_state, monkeypatch):
-        attempts = fail_solves_at(monkeypatch, abs_step)
+    @pytest.mark.parametrize("abs_step, failure", with_failures([0, units.COMMITMENT_STEP]))
+    def test_no_commitment_frozen_from_a_failed_solve(self, abs_step, failure, plant, start_state, monkeypatch):
+        attempts = fail_solves_at(monkeypatch, abs_step, failure)
         with pytest.raises(RolloutError, match="no commitment is frozen"):
             rollout.run(
                 ocp.StrategyKind.CO, start_state, flat_two_days(25.0), flat_two_days(25.0),
                 START, START, plant,
             )
-        assert len(attempts) == 1 + len(rollout._RETRY_LADDER)
+        assert len(attempts) == len(rollout._RETRY_LADDER)
 
 
 class TestTrajectoryCsv:
