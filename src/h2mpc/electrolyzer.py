@@ -222,7 +222,6 @@ class StepResult:
     """Outcome of one simulator step."""
 
     state: PlantState
-    h2_generated_kmolhr: float
     h2_produced_ton: float
     power_kw: float
     membrane_loss_um: float
@@ -293,7 +292,6 @@ def step(
     residual = power_balance(action.p_dam_mw, action.p_rtm_mw, sp.p_kw, dt_hr)
     return StepResult(
         state=new_state,
-        h2_generated_kmolhr=gen_kmolhr,
         h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * dt_hr),
         power_kw=sp.p_kw,
         membrane_loss_um=loss_um,

@@ -7,8 +7,11 @@ derivatives and the Lagrangian's second derivatives are all assembled
 here; the solver module only sees the generic evaluator surface. Each
 constraint block is declared once, in ``OcpProblem._row_blocks``: its
 name, residual and Jacobian terms. Each block's row slice, the residual
-vector and the Jacobian's CSR layout, fixed in ``build``, are all read
-from that table; variable and row names derive from the layout on demand.
+vector and the Jacobian's (row, column) entries, declared in ``build``,
+are all read from that table; variable and row names derive from the
+layout on demand. The problem lays out no sparse matrix: an evaluation
+returns the Jacobian's values in the declared order, and the solver owns
+every matrix built from them. No evaluation writes to the problem.
 
 Strategy differences:
 
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import electrolyzer, units
 from .params import ControlAction, PlantParams, PlantState
@@ -103,12 +105,9 @@ class OcpProblem:
     # fixed by _fix_layout from the row table
     m_eq: int = 0
     _rows: dict[str, slice] = field(repr=False, default_factory=dict)
-    _jac_order: np.ndarray = field(repr=False, default=None)
-    _jac_indices: np.ndarray = field(repr=False, default=None)
-    _jac_indptr: np.ndarray = field(repr=False, default=None)
-    # the point of the last Jacobian evaluation and its second-order plant
-    # model, which ``hessian_blocks`` at the same point reuses
-    _jac_point: tuple | None = field(repr=False, default=None)
+    # the Jacobian's (row, column) entries, in the order its values come
+    jac_rows: np.ndarray = field(repr=False, default=None)
+    jac_cols: np.ndarray = field(repr=False, default=None)
 
     # ------------------------------------------------------------------
     @property
@@ -144,8 +143,8 @@ class OcpProblem:
         """Per-step variable groups entering the model nonlinearly, (H, k).
 
         Only the stack-point inputs appear in nonlinear expressions, so the
-        Lagrangian Hessian is block diagonal on these groups (see
-        ``hessian_blocks``) and zero everywhere else.
+        Lagrangian Hessian is block diagonal on these groups (the curvature
+        ``constraints_and_jacobian`` returns) and zero everywhere else.
         """
         return np.column_stack(self._stack_columns())
 
@@ -181,8 +180,9 @@ class OcpProblem:
             raise EvalError("objective is not finite")
         return obj, g
 
-    def _row_blocks(self, x: np.ndarray, jac: bool = True) -> list[tuple[str, np.ndarray, list]]:
-        """The constraint rows, declared once: ``(name, residual, terms)`` per block.
+    def _row_blocks(self, x: np.ndarray, jac: bool = True) -> tuple[list, electrolyzer.StackPoint]:
+        """The constraint rows, declared once: ``(name, residual, terms)`` per
+        block, and the plant model they were evaluated with.
 
         Blocks come in row order, equalities first, then the ``voltage`` and
         ``plant_power`` ranges. Row i of a block has one Jacobian entry per
@@ -192,13 +192,11 @@ class OcpProblem:
         value, to be compared against rg_lb/rg_ub. Without ``jac`` the plant
         model is evaluated for values only and the terms through it are
         left out, so only the residuals are complete. With ``jac`` it is
-        evaluated to second order and kept for ``hessian_blocks``.
+        evaluated to second order, for the curvature.
         """
         self._check_finite(x, "variable")
         idx, p = self.idx, self.params
         ph = self._stack_point(x, order=2 if jac else 0)
-        if jac:
-            self._jac_point = (x.copy(), ph)
         dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
@@ -239,7 +237,7 @@ class OcpProblem:
         blocks.append(("dam_tie", x[tied] - x[anchor], [(tied, 1.0), (anchor, -1.0)]))
         blocks.append(("voltage", ph.v_tot, list(zip(stack, dv))))
         blocks.append(("plant_power", ph.p_kw, list(zip(stack, dp))))
-        return blocks
+        return blocks, ph
 
     @staticmethod
     def _stacked_residual(blocks) -> np.ndarray:
@@ -251,57 +249,45 @@ class OcpProblem:
 
     def constraints_residual(self, x: np.ndarray) -> np.ndarray:
         """Residual vector only; the cheap path for line-search trials."""
-        return self._stacked_residual(self._row_blocks(x, jac=False))
+        return self._stacked_residual(self._row_blocks(x, jac=False)[0])
 
-    def constraints_and_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-        """Residuals and CSR Jacobian, rows as ``_row_blocks`` declares them.
+    def constraints_and_jacobian(self, x: np.ndarray):
+        """Residuals, Jacobian values in ``jac_rows``/``jac_cols`` order, and
+        ``curvature(obj_weight, lam)``: the Hessian of obj_weight * f + lam' c
+        at ``x`` on each ``nonlinear_blocks`` group, (H, k, k).
 
-        The Jacobian wraps the canonical layout ``build`` fixed, so every
-        point yields the same ``indices`` and ``indptr``.
+        ``lam`` holds one multiplier per constraint row, in row order. The
+        objective is linear, so ``obj_weight`` adds nothing; the curvature is
+        this evaluation's second partials of the plant model, weighted by the
+        multipliers of the rows that evaluate it.
         """
-        blocks = self._row_blocks(x)
-        data = np.empty(len(self._jac_order))
+        blocks, ph = self._row_blocks(x)
+        values = np.empty(len(self.jac_rows))
         at = 0
         for _, res, terms in blocks:
             for _, partials in terms:
-                data[at : at + len(res)] = partials
+                values[at : at + len(res)] = partials
                 at += len(res)
-        shape = (len(self._jac_indptr) - 1, self.n)
-        jac = sp.csr_matrix((data[self._jac_order], self._jac_indices, self._jac_indptr), shape=shape)
-        return self._stacked_residual(blocks), jac
+        rows, k, hf = self._rows, len(self._stack_columns()), self.high_fidelity
 
-    def hessian_blocks(self, x: np.ndarray, obj_weight: float, lam: np.ndarray) -> np.ndarray:
-        """Hessian of obj_weight * f + lam' c on each ``nonlinear_blocks`` group, (H, k, k).
+        def curvature(obj_weight: float, lam: np.ndarray) -> np.ndarray:
+            power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
+            hess = power[:, None, None] * ph.d2p + lam[rows["voltage"]][:, None, None] * ph.d2v
+            if hf:
+                hess -= (units.STEP_MINUTES * lam[rows["thickness_dyn"]])[:, None, None] * ph.d2rate
+            return hess[:, :k, :k]
 
-        ``lam`` holds one multiplier per constraint row, in row order. The
-        objective is linear, so ``obj_weight`` adds nothing; the curvature
-        comes from the plant model's second partials, weighted by the
-        multipliers of the rows that evaluate it. At the point of the last
-        ``constraints_and_jacobian`` the plant model is not evaluated again.
-        """
-        self._check_finite(x, "variable")
-        if self._jac_point is not None and np.array_equal(self._jac_point[0], x):
-            ph = self._jac_point[1]
-        else:
-            ph = self._stack_point(x, order=2)
-        rows = self._rows
-        power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
-        hess = power[:, None, None] * ph.d2p + lam[rows["voltage"]][:, None, None] * ph.d2v
-        if self.high_fidelity:
-            hess -= (units.STEP_MINUTES * lam[rows["thickness_dyn"]])[:, None, None] * ph.d2rate
-        k = len(self._stack_columns())
-        return hess[:, :k, :k]
+        return self._stacked_residual(blocks), values, curvature
 
     def _fix_layout(self) -> None:
-        """Name the rows, record each block's row slice and fix the
-        Jacobian's canonical CSR layout.
+        """Name the rows, record each block's row slice and declare the
+        Jacobian's entries.
 
         One evaluation of the row table at the box midpoint gives every
-        entry's (row, column); their (row, column) sort order maps later
-        evaluations' partials, laid end to end in table order, onto that
-        layout. No entry repeats, so the layout is canonical CSR.
+        entry's (row, column), in table order: the order in which
+        ``constraints_and_jacobian`` returns their values. No entry repeats.
         """
-        blocks = self._row_blocks(0.5 * (self.lb + self.ub))
+        blocks, _ = self._row_blocks(0.5 * (self.lb + self.ub))
         m = 0
         rows, cols = [], []
         for name, res, terms in blocks:
@@ -311,13 +297,7 @@ class OcpProblem:
             for columns, _ in terms:
                 rows.append(block_rows)
                 cols.append(columns)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        self._jac_order = np.argsort(rows * self.n + cols, kind="stable")
-        # int32, scipy's own choice at this size: it would copy int64 indices at every wrap
-        self._jac_indices = cols[self._jac_order].astype(np.int32)
-        self._jac_indptr = np.searchsorted(rows[self._jac_order], np.arange(m + 1)).astype(np.int32)
-        # every returned Jacobian shares these; they must never change
-        self._jac_indices.flags.writeable = self._jac_indptr.flags.writeable = False
+        self.jac_rows, self.jac_cols = np.concatenate(rows), np.concatenate(cols)
         self.m_eq = m - len(self.rg_lb)
 
     def _check_finite(self, x: np.ndarray, what: str) -> None:

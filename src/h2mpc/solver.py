@@ -10,9 +10,14 @@ fraction-to-the-boundary rule, a monotone barrier-reduction schedule, and
 an l1-penalty merit line search with one second-order correction (as in
 IPOPT) against the Maratos effect. Second-order information is the exact
 Lagrangian Hessian on the per-step variable blocks the problem declares as
-nonlinear (``hessian_blocks``); each scaled block is projected onto
-eigenvalues at or above a floor, the convexification acados applies to
-stage Hessians, so the curvature stays positive definite.
+nonlinear, as the curvature each Jacobian evaluation returns; each scaled
+block is projected onto eigenvalues at or above a floor, the
+convexification acados applies to stage Hessians, so the curvature stays
+positive definite.
+
+As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
+column) entries once and its evaluations return only their values; this
+module lays out every sparse matrix built from them.
 
 A solve is ``optimal`` at the first iterate whose scaled KKT error is
 within ``KKT_TOLERANCE`` and whose raw infeasibility is within
@@ -91,7 +96,6 @@ class Start:
 @dataclass
 class SolveResult:
     x: np.ndarray
-    objective: float
     kkt_residual: float
     feasibility: float
     iterations: int
@@ -128,9 +132,9 @@ class _ScaledNlp:
     z = [free variables / column scale ; range slacks / slack scale].
     The one evaluation at the start ``z0`` (free variables pushed ``push``
     inside their bounds, slacks at the range values there, pushed alike)
-    lays out the scaled Jacobian's sparsity, sets the row scaling and gives
-    the first iterate's ``(c, J, feas)`` as ``at_z0``; later evaluations
-    only refill the Jacobian's values.
+    sets the row scaling and gives the first iterate's ``(c, J, feas,
+    curvature)`` as ``at_z0``. The scaled Jacobian's layout comes from the
+    entries the problem declares; every evaluation only refills its values.
     """
 
     def __init__(self, prob, x0_full: np.ndarray, obj_scale: float, push: float):
@@ -159,21 +163,19 @@ class _ScaledNlp:
         # the start: the one evaluation every solve makes before its loop
         n = self.n_free
         zx = _push_interior(x0_full[self.free] / self.dx, self.lz[:n], self.uz[:n], push)
-        res0, jac0 = prob.constraints_and_jacobian(self._x_full_from(zx))
+        res0, vals0, curv0 = prob.constraints_and_jacobian(self._x_full_from(zx))
         self.z0 = np.concatenate([zx, _push_interior(res0[self.m_eq :] / self.ds, self.lz[n:], self.uz[n:], push)])
 
         m = self.m_eq + self.m_rg
-        self.jac_indptr = jac0.indptr.copy()
         pos = -np.ones(len(lb), dtype=np.int64)
         pos[self.free] = np.arange(self.n_free)
-        rows = np.repeat(np.arange(m), np.diff(jac0.indptr))
-        cols = pos[jac0.indices]
+        rows, cols = prob.jac_rows, pos[prob.jac_cols]
         src = np.flatnonzero(cols >= 0)
         col_scale = self.dx[cols[src]]
 
         # row scaling from the start-point Jacobian's free columns
         row_max = np.zeros(m)
-        np.maximum.at(row_max, rows[src], np.abs(jac0.data[src] * col_scale))
+        np.maximum.at(row_max, rows[src], np.abs(vals0[src] * col_scale))
         self.row_scale = 1.0 / np.maximum(1.0, row_max)
 
         # reduced entries then the -ds slack block; each row lists its
@@ -182,7 +184,7 @@ class _ScaledNlp:
         rows = np.concatenate([rows[src], self.m_eq + slack])
         cols = np.concatenate([cols[src], self.n_free + slack])
         order = np.lexsort((-cols, rows))
-        self.jac_src = np.concatenate([src, jac0.nnz + slack])[order]
+        self.jac_src = np.concatenate([src, len(vals0) + slack])[order]
         self.jac_col_scale = np.concatenate([col_scale, np.ones(self.m_rg)])[order]
         self.jac_row_scale = self.row_scale[rows[order]]
         self.jac_layout = sp.csr_matrix(
@@ -205,7 +207,7 @@ class _ScaledNlp:
         self.hess_rows = np.broadcast_to(blk[:, :, None], kept.shape)[kept]
         self.hess_cols = np.broadcast_to(blk[:, None, :], kept.shape)[kept]
 
-        self.at_z0 = (self._scaled_residual(res0, self.z0), self._scaled_jacobian(jac0), self._infeasibility(res0))
+        self.at_z0 = (self._scaled_residual(res0, self.z0), self._scaled_jacobian(vals0), self._infeasibility(res0), curv0)
 
     # mappings --------------------------------------------------------
     def _x_full_from(self, zx: np.ndarray) -> np.ndarray:
@@ -240,31 +242,31 @@ class _ScaledNlp:
         return self.obj_scale * f, gz
 
     def constraints(self, z: np.ndarray, need_jac: bool = True):
-        """Scaled residual, scaled Jacobian (None without ``need_jac``) and
-        the raw infeasibility, all from one problem evaluation."""
+        """Scaled residual, scaled Jacobian, raw infeasibility and the
+        problem's curvature at z, all from one problem evaluation; without
+        ``need_jac`` the Jacobian and the curvature are None."""
         x = self.x_full(z)
         if not need_jac:
             res = self.prob.constraints_residual(x)
-            return self._scaled_residual(res, z), None, self._infeasibility(res)
-        res, jac = self.prob.constraints_and_jacobian(x)
-        if not np.array_equal(jac.indptr, self.jac_indptr):
-            raise ValueError("the constraint Jacobian's sparsity pattern changed during the solve")
-        return self._scaled_residual(res, z), self._scaled_jacobian(jac), self._infeasibility(res)
+            return self._scaled_residual(res, z), None, self._infeasibility(res), None
+        res, vals, curvature = self.prob.constraints_and_jacobian(x)
+        return self._scaled_residual(res, z), self._scaled_jacobian(vals), self._infeasibility(res), curvature
 
     def jac_t_dot(self, J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
         """J.T @ y for a Jacobian in this solve's layout, without building
         the transpose; each entry sums in row order, as scipy's does."""
         return np.bincount(J.indices, J.data * y[self.jac_rows], minlength=self.nz)
 
-    def hessian(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Projected curvature of the scaled Lagrangian at (z, y): one value
-        per (``hess_rows``, ``hess_cols``) entry."""
-        hx = self.prob.hessian_blocks(self.x_full(z), self.obj_scale, y * self.row_scale)
+    def hessian(self, curvature, y: np.ndarray) -> np.ndarray:
+        """Projected curvature of the scaled Lagrangian with multipliers y,
+        from an evaluation's ``curvature``: one value per (``hess_rows``,
+        ``hess_cols``) entry."""
+        hx = curvature(self.obj_scale, y * self.row_scale)
         hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
         return _project_blocks(hz).reshape(-1)[self.hess_keep]
 
-    def _scaled_jacobian(self, jac: sp.csr_matrix) -> sp.csr_matrix:
-        vals = np.concatenate([jac.data, -self.ds])[self.jac_src]
+    def _scaled_jacobian(self, values: np.ndarray) -> sp.csr_matrix:
+        vals = np.concatenate([values, -self.ds])[self.jac_src]
         data = self.jac_row_scale * (vals * self.jac_col_scale)
         layout = self.jac_layout
         return sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
@@ -333,12 +335,12 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     without them gets least-squares estimates.
     ``lb``/``ub`` and ``rg_lb``/``rg_ub`` must be finite: a non-finite
     bound raises ValueError.
-    ``constraints_and_jacobian`` must return a CSR Jacobian whose sparsity
-    pattern is the same at every point: the solve lays it out once and
-    raises ValueError when an evaluation's pattern differs.
-    ``nonlinear_blocks()`` gives an (H, k) array of column groups outside
-    which the Lagrangian is linear, and ``hessian_blocks`` its (H, k, k)
-    curvature on them.
+    ``jac_rows``/``jac_cols`` declare the constraint Jacobian's entries,
+    each (row, column) pair once. ``constraints_and_jacobian(x)`` returns
+    the residuals, the values of those entries in declared order, and a
+    ``curvature(obj_weight, lam)`` of that point. ``nonlinear_blocks()``
+    gives an (H, k) array of column groups outside which the Lagrangian is
+    linear, and the curvature is its (H, k, k) Hessian on them.
     """
     if not isinstance(start, Start):
         start = Start(start)
@@ -360,7 +362,7 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
 
     z = nlp.z0
     f, g = nlp.objective(z)
-    c, J, feas = nlp.at_z0
+    c, J, feas, curvature = nlp.at_z0
     if start.multipliers is not None:
         y, vl, vu = nlp.duals_in(start.multipliers)
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
@@ -399,7 +401,7 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         grad_mu = g - mu / zl + mu / zu
 
         grad_y = grad_mu + jty
-        w = nlp.hessian(z, y)
+        w = nlp.hessian(curvature, y)
         if kkt is None:
             kkt = _KktLayout(nlp.hess_rows, nlp.hess_cols, J)
         step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, J, np.concatenate([-grad_y, -c]), delta_w)
@@ -427,21 +429,21 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
 
         def armijo(z_t, alpha):
             f_t, g_t = nlp.objective(z_t)
-            c_t, _, _ = nlp.constraints(z_t, need_jac=False)
+            c_t = nlp.constraints(z_t, need_jac=False)[0]
             merit_t = _merit(f_t, z_t, c_t, mu, nu, nlp)
             ok = math.isfinite(merit_t) and merit_t <= merit0 + _ARMIJO_ETA * alpha * dmerit + noise
-            return ok, f_t, g_t, c_t
+            return ok, f_t, g_t, c_t, merit_t
 
         for trial in range(_MAX_BACKTRACKS):
             z_t = z + alpha * dz
-            accepted, f_t, g_t, c_t = armijo(z_t, alpha)
+            accepted, f_t, g_t, c_t, merit_t = armijo(z_t, alpha)
             if not accepted and trial == 0 and np.sum(np.abs(c_t)) >= np.sum(np.abs(c)):
                 # second-order correction: the first trial lost feasibility
                 # to the constraints' curvature, so re-solve with the
                 # residual it met (same factors) and try that point once
                 dz_soc = kkt_solve(np.concatenate([-grad_y, -(alpha * c + c_t)]))[: nlp.nz]
                 z_t = z + _fraction_to_boundary(z, dz_soc, nlp.lz, nlp.uz, tau) * dz_soc
-                accepted, f_t, g_t, c_t = armijo(z_t, alpha)
+                accepted, f_t, g_t, c_t, merit_t = armijo(z_t, alpha)
             if accepted:
                 break
             alpha *= 0.5
@@ -460,21 +462,16 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         vu = vu + alpha_vu * dvu
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
         f, g = f_t, g_t
-        c, J, feas_t = nlp.constraints(z)
+        c, J, feas_t, curvature = nlp.constraints(z)
 
-        merit_after = _merit(f, z, c, mu, nu, nlp)
-        log.append(IterationRecord(it, mu, merit0, merit_after, alpha, kkt_err, feas))
+        log.append(IterationRecord(it, mu, merit0, merit_t, alpha, kkt_err, feas))
         feas = feas_t
 
     if status == "max_iterations":
         # the last accepted step moved the iterate past its KKT check
         kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(J, y) - vl + vu, c, y, vl, vu, 0.0)
-    x_final = nlp.x_full(z)
-    obj_final, _ = prob.objective_and_gradient(x_final)
-
     return SolveResult(
-        x=x_final,
-        objective=obj_final,
+        x=nlp.x_full(z),
         kkt_residual=kkt_err,
         feasibility=feas,
         iterations=it,

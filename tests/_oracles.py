@@ -3,10 +3,12 @@
 Everything here avoids the package's evaluation paths except the plant
 model itself (``electrolyzer.stack_point``): Horner evaluation for the
 thinning polynomial, plain finite differences, and a vectorized
-exhaustive grid enumeration for tiny control problems.
+exhaustive grid enumeration for tiny control problems. ``jacobian`` is the
+one exception: it evaluates a problem and assembles the matrix with scipy.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from h2mpc import electrolyzer as el
 from h2mpc import units
@@ -21,6 +23,13 @@ def commitment_problem(strategy, state, p, seed=7):
     dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
     rng = np.random.default_rng(seed)
     return build(strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), sid, p)
+
+
+def jacobian(prob, x):
+    """Residual and CSR constraint Jacobian of ``prob`` at ``x``, the matrix
+    assembled by scipy from the declared ``jac_rows``/``jac_cols`` entries."""
+    res, values, _ = prob.constraints_and_jacobian(x)
+    return res, sp.csr_matrix((values, (prob.jac_rows, prob.jac_cols)), shape=(len(res), prob.n))
 
 
 def horner_rate(t, j):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import commitment_problem
+from _oracles import commitment_problem, jacobian
 from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import BuildError, StrategyKind, build, cold_start, warm_start_from
@@ -166,7 +166,7 @@ class TestEvaluators:
         for strat in StrategyKind:
             prob = make_problem(strat, state, params, H=6, seed=2)
             x = euler_consistent_point(prob, rng)
-            res, _ = prob.constraints_and_jacobian(x)
+            res, _ = jacobian(prob, x)
             assert np.max(np.abs(res[: prob.m_eq])) < 1e-9, strat
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
@@ -174,7 +174,7 @@ class TestEvaluators:
         rng = np.random.default_rng(6)
         prob = make_problem(strategy, state, params, H=6)
         x = euler_consistent_point(prob, rng)
-        res, _ = prob.constraints_and_jacobian(x)
+        res, _ = jacobian(prob, x)
         assert np.array_equal(prob.constraints_residual(x), res)
 
     def test_gradient_matches_finite_differences(self, params, state):
@@ -200,15 +200,15 @@ class TestEvaluators:
         for strat in (StrategyKind.HF_MS, StrategyKind.LF_MS):
             prob = make_problem(strat, state, params, H=4, seed=4)
             x = euler_consistent_point(prob, rng)
-            _, jac = prob.constraints_and_jacobian(x)
+            _, jac = jacobian(prob, x)
             jac = jac.toarray()
             for i in rng.choice(prob.n, size=14, replace=False):
                 h = 4e-6 * max(1.0, abs(x[i]))
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                rp, _ = prob.constraints_and_jacobian(xp)
-                rm, _ = prob.constraints_and_jacobian(xm)
+                rp, _ = jacobian(prob, xp)
+                rm, _ = jacobian(prob, xm)
                 fd = (rp - rm) / (xp[i] - xm[i])
                 worst = np.max(np.abs(jac[:, i] - fd) / np.maximum(np.abs(fd), 1.0))
                 assert worst < 1e-6, (strat, prob.names[i])
@@ -217,8 +217,7 @@ class TestEvaluators:
         prob = make_problem(StrategyKind.HF_MS, state, params, H=6)
         rng = np.random.default_rng(9)
         x = euler_consistent_point(prob, rng)
-        _, jac = prob.constraints_and_jacobian(x)
-        jac = jac.tocsr()
+        _, jac = jacobian(prob, x)
         for row, name in enumerate(prob.eq_names):
             if not name.startswith(("storage_dyn", "thickness_dyn")):
                 continue
@@ -296,7 +295,7 @@ class TestRowTable:
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_step_rows_touch_exactly_their_step(self, strategy, params, state):
         prob = commitment_problem(strategy, state, params)
-        _, jac = prob.constraints_and_jacobian(cold_start(prob))
+        _, jac = jacobian(prob, cold_start(prob))
         row_names = prob.eq_names + prob.rg_names
         assert len(row_names) == jac.shape[0]
         checked = 0
@@ -314,13 +313,34 @@ class TestRowTable:
         rng = np.random.default_rng(14)
         x0 = cold_start(prob)
         x1 = prob.lb + rng.uniform(0.0, 1.0, prob.n) * (prob.ub - prob.lb)
-        _, j0 = prob.constraints_and_jacobian(x0)
-        _, j1 = prob.constraints_and_jacobian(x1)
-        assert j0.has_canonical_format and j1.has_canonical_format
-        assert np.array_equal(j0.indices, j1.indices)
-        assert np.array_equal(j0.indptr, j1.indptr)
-        assert not np.array_equal(j0.data, j1.data)
-        assert j0.shape == (prob.m_eq + len(prob.rg_names), prob.n)
+        _, v0, _ = prob.constraints_and_jacobian(x0)
+        _, v1, _ = prob.constraints_and_jacobian(x1)
+        assert len(v0) == len(v1) == len(prob.jac_rows) == len(prob.jac_cols)
+        assert not np.array_equal(v0, v1)
+        assert jacobian(prob, x0)[1].shape == (prob.m_eq + len(prob.rg_names), prob.n)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_declared_entries_are_unique_and_inside_their_step(self, strategy, params, state):
+        # a row of step t touches step t's variables and the states at the
+        # step's end (t + 1); an hourly tie row touches the two day-ahead
+        # steps it ties
+        prob = commitment_problem(strategy, state, params)
+        rows, cols = prob.jac_rows, prob.jac_cols
+        assert len(np.unique(rows * prob.n + cols)) == len(rows)
+        assert np.all((rows >= 0) & (rows < prob.m_eq + len(prob.rg_names)))
+        assert np.all((cols >= 0) & (cols < prob.n))
+        row_names = prob.eq_names + prob.rg_names
+
+        def split(name):
+            kind, at = name.rstrip("]").split("[")
+            return kind, int(at)
+
+        for r, c in zip(rows, cols):
+            (block, i), (var, t) = split(row_names[r]), split(prob.names[c])
+            if block == "dam_tie":
+                assert var == "p_dam" and t in prob.tie_pairs[i], (row_names[r], prob.names[c])
+            else:
+                assert t == i or (var in ("stor", "eps") and t == i + 1), (row_names[r], prob.names[c])
 
 
 class TestHessianBlocks:
@@ -332,18 +352,19 @@ class TestHessianBlocks:
         rng = np.random.default_rng(21)
         x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
         lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
-        hess = prob.hessian_blocks(x, 1.0, lam)
+        curvature = prob.constraints_and_jacobian(x)[2]
+        hess = curvature(1.0, lam)
         cols = prob.nonlinear_blocks()
         k = 3 if prob.high_fidelity else 2
         assert cols.shape == (prob.horizon, k) and hess.shape == (prob.horizon, k, k)
         # the objective is linear: its weight adds no curvature
-        assert np.array_equal(prob.hessian_blocks(x, 0.0, lam), hess)
+        assert np.array_equal(curvature(0.0, lam), hess)
         for a in range(k):
             xp, xm = x.copy(), x.copy()
             xp[cols[:, a]] *= 1.0 + 1e-6
             xm[cols[:, a]] *= 1.0 - 1e-6
-            g_p = prob.constraints_and_jacobian(xp)[1].T @ lam
-            g_m = prob.constraints_and_jacobian(xm)[1].T @ lam
+            g_p = jacobian(prob, xp)[1].T @ lam
+            g_m = jacobian(prob, xm)[1].T @ lam
             fd = (g_p - g_m)[cols] / (xp[cols[:, a]] - xm[cols[:, a]])[:, None]
             exact = hess[:, :, a]
             scale = np.maximum(np.abs(exact), 1e-3 * np.max(np.abs(exact), axis=0))
@@ -352,23 +373,24 @@ class TestHessianBlocks:
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_blocks_reuse_the_jacobian_evaluation(self, strategy, params, state, monkeypatch):
-        # at the point of the last Jacobian evaluation the blocks come from
-        # that evaluation's second partials, bit for bit; anywhere else,
-        # even the same array changed in place, the model runs again
+        # the blocks come from the Jacobian evaluation's second partials
+        # without running the plant model again, and stay that point's, bit
+        # for bit, after a later evaluation elsewhere
         prob = commitment_problem(strategy, state, params)
         rng = np.random.default_rng(22)
         x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
         lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
-        fresh = prob.hessian_blocks(x, 1.0, lam)
-        prob.constraints_and_jacobian(x)
+        curvature = prob.constraints_and_jacobian(x)[2]
+        x_moved = x.copy()
+        x_moved[prob.nonlinear_blocks()[0, 0]] *= 1.0 + 1e-3
+        moved = prob.constraints_and_jacobian(x_moved)[2](1.0, lam)
         calls = []
         real = el.stack_point
         monkeypatch.setattr(el, "stack_point", lambda *args: calls.append(args) or real(*args))
-        assert np.array_equal(prob.hessian_blocks(x.copy(), 1.0, lam), fresh)
+        hess = curvature(1.0, lam)
         assert calls == []
-        x[prob.nonlinear_blocks()[0, 0]] *= 1.0 + 1e-3
-        assert not np.array_equal(prob.hessian_blocks(x, 1.0, lam), fresh)
-        assert len(calls) == 1
+        assert not np.array_equal(hess, moved)
+        assert np.array_equal(hess, prob.constraints_and_jacobian(x)[2](1.0, lam))
 
 
 class TestFeasibleSetInclusion:
@@ -388,7 +410,8 @@ class TestFeasibleSetInclusion:
         # descending from it can only improve
         res_ms = minimize(ms, res_ss.x, cfg)
         assert res_ms.ok
-        assert res_ms.objective <= res_ss.objective + 1e-6
+        obj_ms = ms.objective_and_gradient(res_ms.x)[0]
+        assert obj_ms <= ss.objective_and_gradient(res_ss.x)[0] + 1e-6
 
 
 class TestStarts:
