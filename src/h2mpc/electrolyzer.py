@@ -232,20 +232,14 @@ class StepResult:
 def step(
     state: PlantState,
     action: ControlAction,
-    dt_minutes: float,
     p: PlantParams,
     setpoint_tol_kmolhr: float | None = None,
 ) -> StepResult:
-    """Advance the plant one step with forward Euler.
-
-    The step length is pinned to the market cadence; the caller owns the
-    clock. Chamber pressures are the configured quasi-steady values.
+    """Advance the plant one market step (``units.STEP_MINUTES``) with
+    forward Euler. Chamber pressures are the configured quasi-steady values.
     """
-    if dt_minutes != units.STEP_MINUTES:
-        raise ValueError(f"step length is fixed at {units.STEP_MINUTES} minutes")
     action.validate(p)
 
-    dt_hr = dt_minutes / 60.0
     gen_kmolhr = units.mol_s_to_kmol_hr(h2_generation_rate(action.current_a, p))
     if not p.h2_gen_min - 1e-9 <= gen_kmolhr <= p.h2_gen_max + 1e-9:
         raise StepViolation(
@@ -267,7 +261,7 @@ def step(
             f"kmol/hr setpoint beyond tolerance {tol}"
         )
 
-    storage_next = state.storage_kmol + dt_hr * (
+    storage_next = state.storage_kmol + units.STEP_HOURS * (
         action.h2_to_storage_kmolhr - action.h2_from_storage_kmolhr
     )
     if not p.storage_min - 1e-9 <= storage_next <= p.storage_max + 1e-9:
@@ -277,7 +271,7 @@ def step(
         )
 
     sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p, order=0)
-    membrane_next = state.membrane_um + sp.rate * dt_minutes
+    membrane_next = state.membrane_um + sp.rate * units.STEP_MINUTES
     if membrane_next <= 0.0:
         raise StepViolation("membrane thickness would reach zero")
 
@@ -287,12 +281,12 @@ def step(
     new_state = PlantState(
         membrane_um=membrane_next,
         storage_kmol=storage_next,
-        clock=state.clock + timedelta(minutes=dt_minutes),
+        clock=state.clock + timedelta(minutes=units.STEP_MINUTES),
     )
-    residual = power_balance(action.p_dam_mw, action.p_rtm_mw, sp.p_kw, dt_hr)
+    residual = power_balance(action.p_dam_mw, action.p_rtm_mw, sp.p_kw)
     return StepResult(
         state=new_state,
-        h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * dt_hr),
+        h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * units.STEP_HOURS),
         power_kw=sp.p_kw,
         membrane_loss_um=loss_um,
         membrane_cost_usd=mem_cost,

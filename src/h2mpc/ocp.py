@@ -91,7 +91,6 @@ class OcpProblem:
     horizon: int
     params: PlantParams
     abs_step0: int
-    step_in_day0: int
     n: int
     lb: np.ndarray
     ub: np.ndarray
@@ -442,7 +441,6 @@ def build(
         horizon=H,
         params=p,
         abs_step0=abs_step0,
-        step_in_day0=step_in_day0,
         n=n,
         lb=lb,
         ub=ub,
@@ -462,7 +460,6 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     """Bound midpoints for controls, propagated current state for states."""
     x = 0.5 * (prob.lb + prob.ub)
     idx = prob.idx
-    H = prob.horizon
     x[idx["stor"][0]] = prob.lb[idx["stor"][0]]
     net = units.STEP_HOURS * (x[idx["stor_in"]] - x[idx["stor_out"]])
     x[idx["stor"][1:]] = x[idx["stor"][0]] + np.cumsum(net)
@@ -479,51 +476,37 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
 
 
 def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveResult) -> Start:
-    """Shift the previous solution onto a new horizon by absolute step.
+    """The previous solve's tail: a start for a horizon with the same end.
 
-    The multipliers shift with it when ``prev_sol`` carries them: bound
-    multipliers per variable field, row multipliers per constraint block.
-    Steps the previous solve did not cover keep the cold-start value, and
-    rows or bounds with no predecessor start at zero, as do the hourly
-    day-ahead tie rows (only a horizon with free day-ahead steps has them,
-    and the closed loop starts none of those warm).
+    The closed loop starts a problem warm when it is the previous one a
+    step on and a step shorter; both end at 23:59. Every variable field and
+    every row block of ``prob`` takes the last entries of its counterpart
+    in ``prev``: the plan, and when ``prev_sol`` carries them, the row
+    multipliers and the bound multipliers of the variables and of the
+    range slacks. Fixed entries keep their pinned value. The hourly
+    day-ahead tie rows start at zero: they go by hour, not by step, and
+    after a bootstrap solve most have no successor. ``prob`` must have
+    ``prev``'s strategy and horizon end, and start no earlier, or the call
+    raises ValueError.
     """
-    x = cold_start(prob)
     shift = prob.abs_step0 - prev.abs_step0
-    moved = []  # (new, old) variable columns at equal absolute steps
-    for f_name, new in prob.idx.items():
-        if f_name in prev.idx:
-            old = prev.idx[f_name]
-            at, src = _shifted(len(new), len(old), shift)
-            moved.append((new[at], old[src]))
-            x[new[at]] = prev_sol.x[old[src]]
-    # fixed entries always win
+    same_end = prob.abs_step0 + prob.horizon == prev.abs_step0 + prev.horizon
+    if prob.strategy is not prev.strategy or not same_end or shift < 0:
+        raise ValueError("a warm start needs the previous problem's strategy and horizon end")
+    # each variable's and each row's counterpart in prev; tie rows have none
+    cols = np.concatenate([prev.idx[f_name][shift:] for f_name in prob.idx])
+    rows = np.full(prob.m_eq + len(prob.rg_lb), -1)
+    for name, new in prob._rows.items():
+        if name != "dam_tie":
+            rows[new] = np.arange(prev._rows[name].start + shift, prev._rows[name].stop)
+    x = prev_sol.x[cols]
     fixed = prob.ub - prob.lb <= 0.0
     x[fixed] = prob.lb[fixed]
     mult = prev_sol.multipliers
     if mult is None:
         return Start(x)
-
-    n, m_rg = prob.n, len(prob.rg_lb)
-    rows, lower, upper = np.zeros(prob.m_eq + m_rg), np.zeros(n + m_rg), np.zeros(n + m_rg)
-    for new, old in moved:
-        lower[new], upper[new] = mult.lower[old], mult.upper[old]
-    for name, new in prob._rows.items():
-        old = prev._rows.get(name)
-        if old is None or name == "dam_tie":  # tie rows go by hour, not by step
-            continue
-        at, src = _shifted(new.stop - new.start, old.stop - old.start, shift)
-        rows[new][at] = mult.rows[old][src]
-        if new.start >= prob.m_eq:  # a range row: its slack's bounds too
-            new_s = slice(n - prob.m_eq + new.start, n - prob.m_eq + new.stop)
-            old_s = slice(prev.n - prev.m_eq + old.start, prev.n - prev.m_eq + old.stop)
-            lower[new_s][at], upper[new_s][at] = mult.lower[old_s][src], mult.upper[old_s][src]
-    return Start(x, Multipliers(rows=rows, lower=lower, upper=upper))
-
-
-def _shifted(n_new: int, n_old: int, shift: int) -> tuple[slice, slice]:
-    """Slices of a new and an old per-step array whose entries sit at the
-    same absolute step, the new one starting ``shift`` steps later."""
-    lo = max(0, -shift)
-    hi = max(lo, min(n_new, n_old - shift))
-    return slice(lo, hi), slice(lo + shift, hi + shift)
+    # the range slacks' bounds follow the variables', one per range row
+    bounds = np.concatenate([cols, prev.n - prev.m_eq + rows[prob.m_eq :]])
+    return Start(x, Multipliers(
+        rows=np.where(rows < 0, 0.0, mult.rows[rows]), lower=mult.lower[bounds], upper=mult.upper[bounds]
+    ))

@@ -354,13 +354,7 @@ def run(
             commitments[day] = DamCommitment(day=day, hourly_mw=_hourly_dam(prob, sol.x, 0))
 
         try:
-            result = electrolyzer.step(
-                state,
-                action,
-                units.STEP_MINUTES,
-                p,
-                setpoint_tol_kmolhr=setpoint_tol,
-            )
+            result = electrolyzer.step(state, action, p, setpoint_tol_kmolhr=setpoint_tol)
         except electrolyzer.StepViolation as exc:
             raise RolloutError(f"simulator rejected the applied action at {ts}: {exc}") from exc
 

@@ -16,8 +16,10 @@ convexification acados applies to stage Hessians, so the curvature stays
 positive definite.
 
 As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
-column) entries once and its evaluations return only their values; this
-module lays out every sparse matrix built from them.
+column) entries once and its evaluations return only their values. Each
+solve fixes its scaled Jacobian's pattern once and keeps the Jacobian as
+values on it; only the least-squares multiplier estimate builds a sparse
+matrix from them.
 
 A solve is ``optimal`` at the first iterate whose scaled KKT error is
 within ``KKT_TOLERANCE`` and whose raw infeasibility is within
@@ -132,9 +134,12 @@ class _ScaledNlp:
     z = [free variables / column scale ; range slacks / slack scale].
     The one evaluation at the start ``z0`` (free variables pushed ``push``
     inside their bounds, slacks at the range values there, pushed alike)
-    sets the row scaling and gives the first iterate's ``(c, J, feas,
-    curvature)`` as ``at_z0``. The scaled Jacobian's layout comes from the
-    entries the problem declares; every evaluation only refills its values.
+    sets the row scaling and gives the first iterate's ``(c, jac, feas,
+    curvature)`` as ``at_z0``. The scaled Jacobian is an array of values on
+    this solve's pattern, the entries the problem declares with the -ds
+    slack block: ``jac_rows``/``jac_cols``, row by row, each row's columns
+    descending (the order the summations in ``J @ J.T`` follow). Every
+    evaluation only computes new values.
     """
 
     def __init__(self, prob, x0_full: np.ndarray, obj_scale: float, push: float):
@@ -166,7 +171,7 @@ class _ScaledNlp:
         res0, vals0, curv0 = prob.constraints_and_jacobian(self._x_full_from(zx))
         self.z0 = np.concatenate([zx, _push_interior(res0[self.m_eq :] / self.ds, self.lz[n:], self.uz[n:], push)])
 
-        m = self.m_eq + self.m_rg
+        self.m = m = self.m_eq + self.m_rg
         pos = -np.ones(len(lb), dtype=np.int64)
         pos[self.free] = np.arange(self.n_free)
         rows, cols = prob.jac_rows, pos[prob.jac_cols]
@@ -178,22 +183,15 @@ class _ScaledNlp:
         np.maximum.at(row_max, rows[src], np.abs(vals0[src] * col_scale))
         self.row_scale = 1.0 / np.maximum(1.0, row_max)
 
-        # reduced entries then the -ds slack block; each row lists its
-        # columns descending, the order the summations in J @ J.T follow
+        # reduced entries then the -ds slack block, in the pattern's order
         slack = np.arange(self.m_rg)
         rows = np.concatenate([rows[src], self.m_eq + slack])
         cols = np.concatenate([cols[src], self.n_free + slack])
         order = np.lexsort((-cols, rows))
+        self.jac_rows, self.jac_cols = rows[order], cols[order]
         self.jac_src = np.concatenate([src, len(vals0) + slack])[order]
         self.jac_col_scale = np.concatenate([col_scale, np.ones(self.m_rg)])[order]
-        self.jac_row_scale = self.row_scale[rows[order]]
-        self.jac_layout = sp.csr_matrix(
-            (np.zeros(len(order)), cols[order], np.searchsorted(rows[order], np.arange(m + 1))),
-            shape=(m, self.nz),
-        )
-        # every evaluation's Jacobian shares these; they must never change
-        self.jac_layout.indices.flags.writeable = self.jac_layout.indptr.flags.writeable = False
-        self.jac_rows = np.repeat(np.arange(m), np.diff(self.jac_layout.indptr))
+        self.jac_row_scale = self.row_scale[self.jac_rows]
 
         # nonlinear blocks in reduced coordinates: each column's scale, zero
         # where the column is fixed (which zeroes its row and column of the
@@ -242,9 +240,9 @@ class _ScaledNlp:
         return self.obj_scale * f, gz
 
     def constraints(self, z: np.ndarray, need_jac: bool = True):
-        """Scaled residual, scaled Jacobian, raw infeasibility and the
-        problem's curvature at z, all from one problem evaluation; without
-        ``need_jac`` the Jacobian and the curvature are None."""
+        """Scaled residual, scaled Jacobian values, raw infeasibility and
+        the problem's curvature at z, all from one problem evaluation;
+        without ``need_jac`` the Jacobian and the curvature are None."""
         x = self.x_full(z)
         if not need_jac:
             res = self.prob.constraints_residual(x)
@@ -252,10 +250,10 @@ class _ScaledNlp:
         res, vals, curvature = self.prob.constraints_and_jacobian(x)
         return self._scaled_residual(res, z), self._scaled_jacobian(vals), self._infeasibility(res), curvature
 
-    def jac_t_dot(self, J: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-        """J.T @ y for a Jacobian in this solve's layout, without building
-        the transpose; each entry sums in row order, as scipy's does."""
-        return np.bincount(J.indices, J.data * y[self.jac_rows], minlength=self.nz)
+    def jac_t_dot(self, jac: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """J.T @ y for the Jacobian with values ``jac`` on this solve's
+        pattern; each entry sums in row order, as scipy's does."""
+        return np.bincount(self.jac_cols, jac * y[self.jac_rows], minlength=self.nz)
 
     def hessian(self, curvature, y: np.ndarray) -> np.ndarray:
         """Projected curvature of the scaled Lagrangian with multipliers y,
@@ -265,11 +263,9 @@ class _ScaledNlp:
         hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
         return _project_blocks(hz).reshape(-1)[self.hess_keep]
 
-    def _scaled_jacobian(self, values: np.ndarray) -> sp.csr_matrix:
+    def _scaled_jacobian(self, values: np.ndarray) -> np.ndarray:
         vals = np.concatenate([values, -self.ds])[self.jac_src]
-        data = self.jac_row_scale * (vals * self.jac_col_scale)
-        layout = self.jac_layout
-        return sp.csr_matrix((data, layout.indices, layout.indptr), shape=layout.shape)
+        return self.jac_row_scale * (vals * self.jac_col_scale)
 
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds
@@ -296,29 +292,32 @@ def _project_blocks(h: np.ndarray) -> np.ndarray:
 
 
 class _KktLayout:
-    """Sparsity of the barrier KKT matrix [[W + diag, J^T], [J, -delta_c I]].
+    """Sparsity of the barrier KKT matrix [[W + diag, J^T], [J, -delta_c I]]
+    of a ``_ScaledNlp``.
 
     W is the block-diagonal projected curvature, given as values at the
-    (``hess_rows``, ``hess_cols``) entries. The (row, col) slots are fixed
+    (``hess_rows``, ``hess_cols``) entries, and J the Jacobian's values on
+    its (``jac_rows``, ``jac_cols``) pattern. The (row, col) slots are fixed
     per solve; each factorization only supplies values, and drops the ones
     that come out zero, since SuperLU's column ordering follows the pattern.
     """
 
-    def __init__(self, hess_rows: np.ndarray, hess_cols: np.ndarray, J: sp.csr_matrix):
-        m, nz = J.shape
-        n = nz + m
+    def __init__(self, nlp: _ScaledNlp):
+        nz = nlp.nz
+        n = nz + nlp.m
         diag = np.arange(n)
-        j_rows = nz + np.repeat(np.arange(m), np.diff(J.indptr))
-        rows = [hess_rows, diag[:nz], j_rows, J.indices, diag[nz:]]
-        cols = [hess_cols, diag[:nz], J.indices, j_rows, diag[nz:]]
+        j_rows = nz + nlp.jac_rows
+        rows = [nlp.hess_rows, diag[:nz], j_rows, nlp.jac_cols, diag[nz:]]
+        cols = [nlp.hess_cols, diag[:nz], nlp.jac_cols, j_rows, diag[nz:]]
         keys, self.slot = np.unique(np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True)
         self.indices = keys % n
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         self.shape = (n, n)
+        self.m = nlp.m
 
-    def matrix(self, w: np.ndarray, h_diag: np.ndarray, J: sp.csr_matrix, delta_c: float) -> sp.csc_matrix:
+    def matrix(self, w: np.ndarray, h_diag: np.ndarray, jac: np.ndarray, delta_c: float) -> sp.csc_matrix:
         # a block's diagonal and h_diag share slots and sum in list order
-        values = np.concatenate([w, h_diag, J.data, J.data, np.full(J.shape[0], -delta_c)])
+        values = np.concatenate([w, h_diag, jac, jac, np.full(self.m, -delta_c)])
         data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
         K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
         K.eliminate_zeros()
@@ -362,14 +361,14 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
 
     z = nlp.z0
     f, g = nlp.objective(z)
-    c, J, feas, curvature = nlp.at_z0
+    c, jac, feas, curvature = nlp.at_z0
     if start.multipliers is not None:
         y, vl, vu = nlp.duals_in(start.multipliers)
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
     else:
         vl = mu / np.maximum(z - nlp.lz, 1.0e-12)
         vu = mu / np.maximum(nlp.uz - z, 1.0e-12)
-        y = _least_squares_duals(g, J, vl, vu)
+        y = _least_squares_duals(nlp, g, jac, vl, vu)
 
     # laid out at the first Newton step: a start that is already optimal needs none
     kkt = None
@@ -381,7 +380,7 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     it = 0
 
     for it in range(1, cfg.max_iterations + 1):
-        jty = nlp.jac_t_dot(J, y)
+        jty = nlp.jac_t_dot(jac, y)
         gL = g + jty - vl + vu
         kkt_err = _kkt_error(nlp, z, gL, c, y, vl, vu, 0.0)
 
@@ -403,8 +402,8 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         grad_y = grad_mu + jty
         w = nlp.hessian(curvature, y)
         if kkt is None:
-            kkt = _KktLayout(nlp.hess_rows, nlp.hess_cols, J)
-        step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, J, np.concatenate([-grad_y, -c]), delta_w)
+            kkt = _KktLayout(nlp)
+        step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, jac, np.concatenate([-grad_y, -c]), delta_w)
         if step is None:
             status = "singular_kkt"
             break
@@ -462,14 +461,14 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         vu = vu + alpha_vu * dvu
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
         f, g = f_t, g_t
-        c, J, feas_t, curvature = nlp.constraints(z)
+        c, jac, feas_t, curvature = nlp.constraints(z)
 
         log.append(IterationRecord(it, mu, merit0, merit_t, alpha, kkt_err, feas))
         feas = feas_t
 
     if status == "max_iterations":
         # the last accepted step moved the iterate past its KKT check
-        kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(J, y) - vl + vu, c, y, vl, vu, 0.0)
+        kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(jac, y) - vl + vu, c, y, vl, vu, 0.0)
     return SolveResult(
         x=nlp.x_full(z),
         kkt_residual=kkt_err,
@@ -544,10 +543,12 @@ def _dual_safeguard(z, vl, vu, lz, uz, mu):
     return vl, vu
 
 
-def _least_squares_duals(g, J, vl, vu):
+def _least_squares_duals(nlp, g, jac, vl, vu):
     """Initial multipliers from min ||g + J^T y - vl + vu||; zero when that
-    fails or any of them exceeds ``_LS_DUAL_MAX`` in magnitude."""
-    m = J.shape[0]
+    fails or any of them exceeds ``_LS_DUAL_MAX`` in magnitude. J is the
+    Jacobian with values ``jac`` on ``nlp``'s pattern."""
+    m = nlp.m
+    J = sp.csr_matrix((jac, nlp.jac_cols, np.searchsorted(nlp.jac_rows, np.arange(m + 1))), shape=(m, nlp.nz))
     rhs = -(J @ (g - vl + vu))
     JJt = (J @ J.T).tocsc() + 1.0e-8 * sp.identity(m, format="csc")
     try:
@@ -559,7 +560,7 @@ def _least_squares_duals(g, J, vl, vu):
     return y
 
 
-def _solve_kkt(kkt, w, sigma, J, rhs, delta_w):
+def _solve_kkt(kkt, w, sigma, jac, rhs, delta_w):
     """Factor and solve the reduced barrier KKT system, regularizing on demand.
 
     Returns the step, a solve for further right-hand sides with the same
@@ -568,7 +569,7 @@ def _solve_kkt(kkt, w, sigma, J, rhs, delta_w):
     delta_c = 0.0
     for _ in range(12):
         try:
-            lu = spla.splu(kkt.matrix(w, sigma + delta_w, J, delta_c))
+            lu = spla.splu(kkt.matrix(w, sigma + delta_w, jac, delta_c))
             step = lu.solve(rhs)
         except RuntimeError:
             delta_c = max(delta_c * 10.0, 1.0e-10)

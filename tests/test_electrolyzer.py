@@ -76,7 +76,7 @@ class TestVoltages:
         assert params.current_bounds()[0] > 0.0
         act = ControlAction(10.0, 0.0, 343.15, 0.0, 0.0, 0.0, 500.0)
         with pytest.raises(ValueError, match="current"):
-            el.step(state, act, 15.0, params)
+            el.step(state, act, params)
 
     def test_membrane_conductivity_oracle(self, params):
         # exponential term is exactly 1 at 303 K
@@ -264,7 +264,7 @@ def co_action(params, p_rtm=0.0, p_dam=None) -> ControlAction:
 
 class TestStep:
     def test_co_action_holds_storage_and_setpoint(self, params, state):
-        res = el.step(state, co_action(params), 15.0, params)
+        res = el.step(state, co_action(params), params)
         assert res.state.storage_kmol == state.storage_kmol
         supplied = co_action(params).h2_el_to_plant_kmolhr
         assert supplied == pytest.approx(500.0, rel=1e-3)
@@ -284,7 +284,7 @@ class TestStep:
             h2_to_storage_kmolhr=x,
             h2_from_storage_kmolhr=x,
         )
-        res = el.step(state, act, 15.0, params)
+        res = el.step(state, act, params)
         assert res.state.storage_kmol == state.storage_kmol
 
     def test_membrane_thinning_matches_rate(self, params, state):
@@ -299,7 +299,7 @@ class TestStep:
             h2_to_storage_kmolhr=gen - 500.0,
             h2_from_storage_kmolhr=0.0,
         )
-        res = el.step(state, act, 15.0, params)
+        res = el.step(state, act, params)
         expected_loss = -el.degradation_rate(343.15, 1.3) * 15.0
         assert res.membrane_loss_um == pytest.approx(expected_loss, rel=1e-9)
         assert res.membrane_cost_usd == pytest.approx(
@@ -319,30 +319,26 @@ class TestStep:
             el_plant = gen - stor_in
             stor_out = 500.0 - el_plant
             act = ControlAction(50.0, 0.0, 343.15, current, el_plant, stor_in, stor_out)
-            res = el.step(s, act, 15.0, params)
+            res = el.step(s, act, params)
             delta = res.state.storage_kmol - s.storage_kmol
             assert abs(delta - 0.25 * (stor_in - stor_out)) < 1e-9
             s = res.state
 
     def test_step_is_deterministic(self, params, state):
-        a = el.step(state, co_action(params), 15.0, params)
-        b = el.step(state, co_action(params), 15.0, params)
+        a = el.step(state, co_action(params), params)
+        b = el.step(state, co_action(params), params)
         assert a == b
-
-    def test_step_rejects_bad_dt(self, params, state):
-        with pytest.raises(ValueError, match="15"):
-            el.step(state, co_action(params), 5.0, params)
 
     def test_step_rejects_current_outside_admissible_box(self, params, state):
         # below the box the generation floor of 100 kmol/hr cannot be met
         act = ControlAction(10.0, 0.0, 343.15, 6000.0, 85.0, 0.0, 415.0)
         with pytest.raises(ValueError, match="current"):
-            el.step(state, act, 15.0, params)
+            el.step(state, act, params)
 
     def test_step_rejects_setpoint_miss(self, params, state):
         act = replace(co_action(params), h2_from_storage_kmolhr=100.0)
         with pytest.raises(el.StepViolation, match="setpoint"):
-            el.step(state, act, 15.0, params)
+            el.step(state, act, params)
 
     def test_step_rejects_storage_overflow(self, params):
         full = PlantState(178.0, params.storage_max, datetime(2022, 1, 3))
@@ -352,7 +348,7 @@ class TestStep:
             0.0, 343.15, 65000.0, 500.0, gen - 500.0, 0.0,
         )
         with pytest.raises(el.StepViolation, match="storage"):
-            el.step(full, act, 15.0, params)
+            el.step(full, act, params)
 
 
 class TestOneModel:
@@ -367,5 +363,5 @@ class TestOneModel:
         for _ in range(200):
             x = euler_consistent_point(prob, rng)
             action = prob.first_action(x)
-            res = el.step(state, action, 15.0, params)
+            res = el.step(state, action, params)
             assert res.power_kw == prob.constraints_residual(x)[row]

@@ -422,54 +422,90 @@ class TestStarts:
             assert np.all(x >= prob.lb - 1e-12)
             assert np.all(x <= prob.ub + 1e-12)
 
-    def test_warm_start_shifts_by_absolute_step(self, params, state):
+    @staticmethod
+    def random_multipliers(prob, rng):
+        m_rg = len(prob.rg_lb)
+        return Multipliers(
+            rows=rng.normal(size=prob.m_eq + m_rg),
+            lower=rng.uniform(1, 2, prob.n + m_rg),
+            upper=rng.uniform(1, 2, prob.n + m_rg),
+        )
+
+    @staticmethod
+    def assert_tails(b, a, start, xa, mult):
+        """Each field and row block of ``b`` holds the tail of ``a``'s, fixed
+        entries their pinned value; tie rows hold zero."""
+        fixed = b.ub - b.lb <= 0.0
+        got = start.multipliers
+        for f, cols in b.idx.items():
+            tail = a.idx[f][len(a.idx[f]) - len(cols) :]
+            assert np.array_equal(start.x[cols], np.where(fixed[cols], b.lb[cols], xa[tail])), f
+            assert np.array_equal(got.lower[cols], mult.lower[tail]), f
+            assert np.array_equal(got.upper[cols], mult.upper[tail]), f
+        for name, rows in b._rows.items():
+            if name == "dam_tie":
+                assert not np.any(got.rows[rows])
+                continue
+            old = a._rows[name]
+            tail = np.arange(old.stop - (rows.stop - rows.start), old.stop)
+            assert np.array_equal(got.rows[rows], mult.rows[tail]), name
+            if rows.start >= b.m_eq:  # the range slack's bound multipliers
+                new = b.n - b.m_eq + np.arange(rows.start, rows.stop)
+                old_slack = a.n - a.m_eq + tail
+                assert np.array_equal(got.lower[new], mult.lower[old_slack]), name
+                assert np.array_equal(got.upper[new], mult.upper[old_slack]), name
+
+    def test_warm_start_takes_the_previous_tail(self, params, state):
+        # the closed loop's warm start: one step on, one step shorter
         a = make_problem(StrategyKind.HF_MS, state, params, H=6, step0=0)
         rng = np.random.default_rng(13)
         xa = euler_consistent_point(a, rng)
-        # one step later and one step longer: b's last step and last state
-        # lie beyond a's horizon
         b = build(
-            StrategyKind.HF_MS, state, [55.0] * 6,
-            np.full(6, 30.0), np.full(6, 40.0), 1, params, abs_step0=1,
+            StrategyKind.HF_MS, state, [55.0] * 5,
+            np.full(5, 30.0), np.full(5, 40.0), 1, params, abs_step0=1,
         )
-        start = warm_start_from(b, a, Start(xa))
-        assert start.multipliers is None
-        xb = start.x
-        cold = cold_start(b)
-        for f in ("p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"):
-            assert np.array_equal(xb[b.idx[f]][:5], xa[a.idx[f]][1:]), f
-            assert xb[b.idx[f]][5] == cold[b.idx[f]][5], f
+        assert warm_start_from(b, a, Start(xa)).multipliers is None
+        mult = self.random_multipliers(a, rng)
+        start = warm_start_from(b, a, Start(xa, mult))
+        self.assert_tails(b, a, start, xa, mult)
         for f in ("stor", "eps"):
-            assert xb[b.idx[f]][0] == b.lb[b.idx[f]][0]  # pinned state wins
-            assert np.array_equal(xb[b.idx[f]][1:6], xa[a.idx[f]][2:]), f
-            assert xb[b.idx[f]][6] == cold[b.idx[f]][6], f
+            assert start.x[b.idx[f]][0] == b.lb[b.idx[f]][0] != xa[a.idx[f]][1]  # pinned state wins
 
-    def test_warm_start_shifts_multipliers_by_absolute_step(self, params, state):
-        # bootstrap-shaped horizons of free day-ahead hours, b one step later
+    def test_warm_start_after_a_bootstrap_carries_every_tail(self, params, state):
+        # a bootstrap-shaped horizon of free day-ahead hours, then the
+        # committed horizon a step on: every tail carries, no tie row exists
         a = make_problem(StrategyKind.HF_MS, state, params, H=8, dam_fixed=[None] * 8)
+        assert len(a.tie_pairs) == 6
+        rng = np.random.default_rng(14)
+        xa, mult = cold_start(a), self.random_multipliers(a, rng)
         b = build(
-            StrategyKind.HF_MS, state, [None] * 8, np.full(8, 30.0), np.full(8, 40.0), 1, params,
+            StrategyKind.HF_MS, state, [55.0] * 7, np.full(7, 30.0), np.full(7, 40.0), 1, params,
             abs_step0=1,
         )
-        rng = np.random.default_rng(14)
-        m_a, m_rg = a.m_eq + len(a.rg_lb), len(a.rg_lb)
-        mult = Multipliers(
-            rows=rng.normal(size=m_a), lower=rng.uniform(1, 2, a.n + m_rg), upper=rng.uniform(1, 2, a.n + m_rg)
+        assert len(b.tie_pairs) == 0
+        self.assert_tails(b, a, warm_start_from(b, a, Start(xa, mult)), xa, mult)
+        # a horizon that keeps free hours starts its tie rows at zero
+        free = build(
+            StrategyKind.HF_MS, state, [None] * 7, np.full(7, 30.0), np.full(7, 40.0), 1, params,
+            abs_step0=1,
         )
-        got = warm_start_from(b, a, Start(cold_start(a), mult)).multipliers
-        for f in a.idx:
-            for mine, theirs in ((got.lower, mult.lower), (got.upper, mult.upper)):
-                assert np.array_equal(mine[b.idx[f]][:-1], theirs[a.idx[f]][1:]), f
-                assert mine[b.idx[f]][-1] == 0.0, f  # beyond a's horizon
-        for name, rows in b._rows.items():
-            if name == "dam_tie":
-                continue
-            assert np.array_equal(got.rows[rows][:7], mult.rows[a._rows[name]][1:]), name
-            assert got.rows[rows][7] == 0.0, name
-            if rows.start >= b.m_eq:  # the range slack's bound multipliers
-                new = np.arange(rows.start, rows.stop) - b.m_eq + b.n
-                old = np.arange(a._rows[name].start, a._rows[name].stop) - a.m_eq + a.n
-                assert np.array_equal(got.lower[new][:7], mult.lower[old][1:]), name
-                assert np.array_equal(got.upper[new][:7], mult.upper[old][1:]), name
-                assert got.lower[new][7] == got.upper[new][7] == 0.0, name
-        assert len(b.tie_pairs) and not np.any(got.rows[b._rows["dam_tie"]])
+        assert len(free.tie_pairs) == 5
+        self.assert_tails(free, a, warm_start_from(free, a, Start(xa, mult)), xa, mult)
+
+    def test_warm_start_needs_the_strategy_and_the_horizon_end(self, params, state):
+        def problem(strategy, H, abs_step0):
+            return build(strategy, state, [55.0] * H, np.full(H, 30.0), np.full(H, 40.0), abs_step0, params,
+                         abs_step0=abs_step0)
+
+        a = problem(StrategyKind.HF_MS, 6, 0)
+        for prob in (
+            problem(StrategyKind.HF_MS, 6, 1),  # ends a step later
+            problem(StrategyKind.HF_MS, 4, 1),  # ends a step earlier
+            problem(StrategyKind.HF_SS, 5, 1),  # the same end, another strategy
+        ):
+            with pytest.raises(ValueError, match="horizon end"):
+                warm_start_from(prob, a, Start(cold_start(a)))
+        # the same end and strategy, from a start before the previous one's
+        b = problem(StrategyKind.HF_MS, 5, 1)
+        with pytest.raises(ValueError, match="horizon end"):
+            warm_start_from(a, b, Start(cold_start(b)))

@@ -120,7 +120,7 @@ class TestReceedingHorizonMechanics:
         # rebuilding each step from the previous post-state reproduces the log
         state = start_state
         for act, logged in zip(hf_spike_log.actions, hf_spike_log.states):
-            res = el.step(state, act, 15.0, plant, setpoint_tol_kmolhr=1.0)
+            res = el.step(state, act, plant, setpoint_tol_kmolhr=1.0)
             assert res.state.membrane_um == logged.membrane_um
             assert res.state.storage_kmol == logged.storage_kmol
             state = res.state

@@ -239,13 +239,18 @@ class TestSolverContract:
 
 
 class TestSparsityLayout:
-    """Once-per-solve layouts against the matrices scipy's sparse constructors build."""
+    """Once-per-solve patterns against the matrices scipy's sparse constructors build."""
 
     @staticmethod
     def scaled_jacobian(nlp, jac):
         jx = jac.tocsc()[:, nlp.free] @ sp.diags(nlp.dx)
         slack = sp.vstack([sp.csc_matrix((nlp.m_eq, nlp.m_rg)), sp.diags(-nlp.ds).tocsc()])
         return (sp.diags(nlp.row_scale) @ sp.hstack([jx, slack], format="csr")).tocsr()
+
+    @staticmethod
+    def assembled(nlp, jac):
+        """The scaled Jacobian with values ``jac`` on the solve's pattern, as scipy assembles it."""
+        return sp.csr_matrix((jac, (nlp.jac_rows, nlp.jac_cols)), shape=(nlp.m, nlp.nz))
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     @pytest.mark.parametrize("commitment", [False, True])
@@ -271,18 +276,20 @@ class TestSparsityLayout:
         for x in (x0, x_moved):
             z = np.concatenate([x[nlp.free] / nlp.dx, prob.constraints_residual(x)[prob.m_eq :] / nlp.ds])
             points.append((z, nlp.constraints(z)[1]))
-        for z, J in points:
+        for z, values in points:
             _, jac = jacobian(prob, nlp.x_full(z))
             ref = self.scaled_jacobian(nlp, jac)
-            assert np.array_equal(J.indptr, ref.indptr)
-            assert np.array_equal(J.indices, ref.indices)
-            assert np.array_equal(J.data, ref.data)
+            # the pattern is scipy's row by row, columns in scipy's order
+            assert np.array_equal(nlp.jac_rows, np.repeat(np.arange(nlp.m), np.diff(ref.indptr)))
+            assert np.array_equal(nlp.jac_cols, ref.indices)
+            assert np.array_equal(values, ref.data)
 
     @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
     def test_kkt_matrix_equals_scipy_assembly(self, delta_c, params, state):
         prob = commitment_problem(StrategyKind.HF_MS, state, params)
         nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
-        J = nlp.at_z0[1]
+        jac = nlp.at_z0[1]
+        J = self.assembled(nlp, jac)
         rng = np.random.default_rng(5)
         R = rng.normal(size=nlp.blk_dx.shape + nlp.blk_dx.shape[-1:])
         blocks = R @ R.transpose(0, 2, 1)
@@ -290,7 +297,7 @@ class TestSparsityLayout:
         w = blocks.reshape(-1)[nlp.hess_keep]
         h_diag = rng.uniform(0.0, 2.0, nlp.nz)
         h_diag[::7] = 0.0
-        K = _KktLayout(nlp.hess_rows, nlp.hess_cols, J).matrix(w, h_diag, J, delta_c)
+        K = _KktLayout(nlp).matrix(w, h_diag, jac, delta_c)
 
         W = sp.csr_matrix((w, (nlp.hess_rows, nlp.hess_cols)), shape=(nlp.nz, nlp.nz))
         corner = -delta_c * sp.identity(J.shape[0]) if delta_c else None
@@ -303,12 +310,12 @@ class TestSparsityLayout:
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_transpose_product_equals_scipy(self, strategy, params, state):
-        # J.T @ y from the laid-out pattern sums in scipy's order, bit for bit
+        # J.T @ y from the values and the pattern sums in scipy's order, bit for bit
         prob = commitment_problem(strategy, state, params)
         nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
-        J = nlp.at_z0[1]
-        y = np.random.default_rng(6).normal(size=J.shape[0]) * np.logspace(-6, 6, J.shape[0])
-        assert np.array_equal(nlp.jac_t_dot(J, y), J.T @ y)
+        jac = nlp.at_z0[1]
+        y = np.random.default_rng(6).normal(size=nlp.m) * np.logspace(-6, 6, nlp.m)
+        assert np.array_equal(nlp.jac_t_dot(jac, y), self.assembled(nlp, jac).T @ y)
 
 
 class TestCurvature:
