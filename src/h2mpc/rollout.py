@@ -24,7 +24,6 @@ from simulated thinning, so strategies are compared on true degradation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -118,37 +117,50 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrajectoryLog":
+        """Read a log ``to_csv`` wrote, one line at a time.
+
+        Raises ValueError for a wrong header or an empty log, and, naming
+        ``path:line``, for a row with the wrong field count, a cell that is
+        no number or timestamp, or a strategy other than the first row's.
+        """
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if ",".join(header) != TRAJECTORY_CSV_HEADER:
+        n_fields = TRAJECTORY_CSV_HEADER.count(",") + 1
+        strategy = None
+        stamps: list[datetime] = []
+        cols: list[list[float]] = [[] for _ in range(n_fields - 2)]
+        with path.open() as fh:
+            if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
                 raise ValueError(f"{path}: unexpected trajectory header")
-            log = None
-            prev_cum_h2 = 0.0
-            for row in reader:
-                ts = datetime.fromisoformat(row[0])
-                if log is None:
-                    log = cls(strategy=row[1])
-                vals = [float(v) for v in row[2:]]
-                log.timestamps.append(ts)
-                log.actions.append(ControlAction(*vals[0:7]))
-                log.states.append(
-                    PlantState(
-                        membrane_um=vals[7],
-                        storage_kmol=vals[8],
-                        clock=ts + timedelta(minutes=units.STEP_MINUTES),
-                    )
-                )
-                log.dam_price.append(vals[9])
-                log.rtm_price.append(vals[10])
-                log.elec_cost.append(vals[11])
-                log.mem_cost.append(vals[12])
-                log.h2_ton.append(vals[15] - prev_cum_h2)
-                prev_cum_h2 = vals[15]
-        if log is None:
+            for line_no, line in enumerate(fh, start=2):
+                # the last cell keeps its newline, which float() ignores
+                row = line.split(",")
+                if len(row) != n_fields:
+                    raise ValueError(f"{path}:{line_no}: {len(row)} fields, expected {n_fields}")
+                if strategy is None:
+                    strategy = row[1]
+                elif row[1] != strategy:
+                    raise ValueError(f"{path}:{line_no}: strategy {row[1]!r} in a {strategy!r} log")
+                try:
+                    stamps.append(datetime.fromisoformat(row[0]))
+                    for col, cell in zip(cols, row[2:]):
+                        col.append(float(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+        if not stamps:
             raise ValueError(f"{path}: empty trajectory")
-        return log
+        *action_cols, membrane, storage, dam, rtm, elec, mem, _, _, cum_h2 = cols
+        step = timedelta(minutes=units.STEP_MINUTES)
+        return cls(
+            strategy=strategy,
+            timestamps=stamps,
+            actions=list(map(ControlAction, *action_cols)),
+            states=list(map(PlantState, membrane, storage, [ts + step for ts in stamps])),
+            dam_price=dam,
+            rtm_price=rtm,
+            elec_cost=elec,
+            mem_cost=mem,
+            h2_ton=[b - a for a, b in zip([0.0, *cum_h2], cum_h2)],
+        )
 
 
 def _prefix_fsum(values: list[float]) -> list[float]:

@@ -33,16 +33,22 @@ shifts the plan, whatever that problem's scaling.
 Every variable and range bound must be finite; ``minimize`` rejects a
 problem with an infinite one. Everything is deterministic: identical
 (problem, start, config) yields an identical iterate sequence.
+
+scipy's sparse modules are imported at their first use, the first
+factorization, so importing the package for log analysis loads no solver
+dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 KKT_TOLERANCE = 1.0e-6
@@ -316,6 +322,8 @@ class _KktLayout:
         self.m = nlp.m
 
     def matrix(self, w: np.ndarray, h_diag: np.ndarray, jac: np.ndarray, delta_c: float) -> sp.csc_matrix:
+        import scipy.sparse as sp
+
         # a block's diagonal and h_diag share slots and sum in list order
         values = np.concatenate([w, h_diag, jac, jac, np.full(self.m, -delta_c)])
         data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
@@ -547,6 +555,9 @@ def _least_squares_duals(nlp, g, jac, vl, vu):
     """Initial multipliers from min ||g + J^T y - vl + vu||; zero when that
     fails or any of them exceeds ``_LS_DUAL_MAX`` in magnitude. J is the
     Jacobian with values ``jac`` on ``nlp``'s pattern."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     m = nlp.m
     J = sp.csr_matrix((jac, nlp.jac_cols, np.searchsorted(nlp.jac_rows, np.arange(m + 1))), shape=(m, nlp.nz))
     rhs = -(J @ (g - vl + vu))
@@ -565,7 +576,11 @@ def _solve_kkt(kkt, w, sigma, jac, rhs, delta_w):
 
     Returns the step, a solve for further right-hand sides with the same
     factors, and the regularization to start the next iteration from.
+    ``splu`` is read from its module at each call, so a tracer that
+    replaces ``scipy.sparse.linalg.splu`` sees every factorization.
     """
+    import scipy.sparse.linalg as spla
+
     delta_c = 0.0
     for _ in range(12):
         try:

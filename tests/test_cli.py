@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -173,6 +176,39 @@ class TestAnalyze:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("edit", ["too few fields", "extra field", "another strategy"])
+    def test_malformed_row_is_input_error_naming_its_line(self, co_run, tmp_path, capsys, edit):
+        _, out, *_ = co_run
+        lines = (out / "trajectory_co.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        lines[5] = ",".join({
+            "too few fields": cells[:-1],
+            "extra field": cells + ["0.0"],
+            "another strategy": [cells[0], "hf-ms", *cells[2:]],
+        }[edit])
+        log = tmp_path / "bad.csv"
+        log.write_text("\n".join(lines) + "\n")
+        code = cli.main(["analyze", "--log", str(log), "lcoh", "--out", str(tmp_path / "an")])
+        assert code == 2
+        assert f"{log}:6:" in capsys.readouterr().err
+
+    def test_analysis_imports_no_scipy(self, co_run, tmp_path):
+        # the solver imports scipy at its first factorization; analysis never
+        # factorizes, so a stray top-level import shows up here
+        _, out, *_ = co_run
+        script = (
+            "import sys\n"
+            "from h2mpc import analysis, cli, rollout\n"
+            f"code = cli.main(['analyze', '--log', {str(out / 'trajectory_co.csv')!r}, 'lcoh',"
+            f" '--out', {str(tmp_path / 'an')!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCompare:

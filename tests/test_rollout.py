@@ -251,8 +251,15 @@ class TestTrajectoryCsv:
         back = TrajectoryLog.from_csv(path)
         assert back.strategy == hf_spike_log.strategy
         assert back.timestamps == hf_spike_log.timestamps
+        # repr round-trips floats: every stored column comes back exactly
         assert back.actions == hf_spike_log.actions
-        assert np.allclose(back.elec_cost, hf_spike_log.elec_cost)
+        assert back.states == hf_spike_log.states
+        assert back.dam_price == hf_spike_log.dam_price
+        assert back.rtm_price == hf_spike_log.rtm_price
+        assert back.elec_cost == hf_spike_log.elec_cost
+        assert back.mem_cost == hf_spike_log.mem_cost
+        # h2_ton is recovered from differences of the stored cum_h2 column
+        assert back.h2_ton == pytest.approx(hf_spike_log.h2_ton, abs=1e-12)
         assert back.cum_h2()[-1] == pytest.approx(hf_spike_log.cum_h2()[-1], abs=1e-9)
 
     def test_write_is_deterministic(self, hf_spike_log, tmp_path):
