@@ -3,7 +3,9 @@
 Cumulative cost curves, the levelized-cost-of-hydrogen attribution,
 degradation-rate surfaces over the operating box, and kernel density
 estimation of the operating current density at a temperature level.
-Each operation has a CSV emitter; no plotting happens in-process.
+Each operation takes the log columns it reads (``rollout.read_trajectory_csv``
+gives them without building per-step objects) and has a CSV emitter; no
+plotting happens in-process.
 """
 
 from __future__ import annotations
@@ -15,21 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import electrolyzer
-from .params import PlantParams
-from .rollout import TrajectoryLog
+from .params import CostLedger, PlantParams
 
 
-def cumulative_costs(log: TrajectoryLog):
-    """Per-step cumulative (electricity, membrane, total) cost series."""
-    cum_elec = np.asarray(log.cum_elec())
-    cum_mem = np.asarray(log.cum_mem())
-    return list(log.timestamps), cum_elec, cum_mem, cum_elec + cum_mem
-
-
-def write_cumulative_costs_csv(log: TrajectoryLog, path: str | Path) -> None:
-    ts, ce, cm, ct = cumulative_costs(log)
+def write_cumulative_costs_csv(timestamps, cum_elec, cum_mem, path: str | Path) -> None:
+    """Per-step cumulative (electricity, membrane, total) cost CSV from a
+    log's running-total columns."""
+    ce = np.asarray(cum_elec, dtype=float)
+    cm = np.asarray(cum_mem, dtype=float)
     lines = ["timestamp,cum_elec_usd,cum_mem_usd,cum_total_usd"]
-    rows = zip(ts, ce.tolist(), cm.tolist(), ct.tolist())
+    rows = zip(timestamps, ce.tolist(), cm.tolist(), (ce + cm).tolist())
     lines += [f"{t.isoformat()},{e!r},{m!r},{tt!r}" for t, e, m, tt in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -41,9 +38,8 @@ class LcohBreakdown:
     mem_share: float
 
 
-def lcoh_breakdown(log: TrajectoryLog) -> LcohBreakdown:
+def lcoh_breakdown(ledger: CostLedger) -> LcohBreakdown:
     """Levelized cost of hydrogen [k$/ton] split into its two components."""
-    ledger = log.ledger()
     if ledger.h2_ton <= 0.0:
         raise ValueError("no hydrogen produced; levelized cost undefined")
     total = ledger.electricity_usd + ledger.membrane_usd
@@ -56,11 +52,11 @@ def lcoh_breakdown(log: TrajectoryLog) -> LcohBreakdown:
     )
 
 
-def write_lcoh_csv(log: TrajectoryLog, path: str | Path) -> None:
-    b = lcoh_breakdown(log)
+def write_lcoh_csv(strategy: str, ledger: CostLedger, path: str | Path) -> None:
+    b = lcoh_breakdown(ledger)
     Path(path).write_text(
         "strategy,lcoh_kusd_per_ton,elec_share,mem_share\n"
-        f"{log.strategy},{b.total_kusd_per_ton!r},{b.elec_share!r},{b.mem_share!r}\n"
+        f"{strategy},{b.total_kusd_per_ton!r},{b.elec_share!r},{b.mem_share!r}\n"
     )
 
 
@@ -84,14 +80,16 @@ def write_degradation_surface_csv(t_grid, j_grid, path: str | Path) -> None:
 TEMP_MATCH_TOL_K = 0.5
 # fallback bandwidth [A/cm2] when all samples coincide (Silverman degenerates)
 _DEGENERATE_BANDWIDTH = 0.05
+# samples whose kernels one KDE pass evaluates together (1 MB of float64)
+_KDE_BLOCK = 128
 
 
-def most_visited_temperature(log: TrajectoryLog) -> float:
+def most_visited_temperature(temperature_k) -> float:
     """Logged temperature [K] whose TEMP_MATCH_TOL_K window holds the most steps.
 
     The lowest such temperature wins a tie.
     """
-    temps = np.sort([a.temperature_k for a in log.actions])
+    temps = np.sort(np.asarray(temperature_k, dtype=float))
     if len(temps) == 0:
         raise ValueError("empty log has no temperature level")
     inside = np.searchsorted(temps, temps + TEMP_MATCH_TOL_K, side="left") - np.searchsorted(
@@ -100,16 +98,18 @@ def most_visited_temperature(log: TrajectoryLog) -> float:
     return float(temps[np.argmax(inside)])
 
 
-def kde_current_density(log: TrajectoryLog, temperature_level: float, bandwidth: float | None = None):
+def kde_current_density(temperature_k, current_a, temperature_level: float, bandwidth: float | None = None):
     """Gaussian-kernel density of operating current density [A/cm2].
 
-    Selects steps whose temperature sits within TEMP_MATCH_TOL_K of the
-    requested level. Default bandwidth is Silverman's rule
-    1.06 * sigma * m^(-1/5); the density integrates to one over the line.
+    Takes a log's temperature [K] and current [A] columns and selects steps
+    whose temperature sits within TEMP_MATCH_TOL_K of the requested level.
+    Default bandwidth is Silverman's rule 1.06 * sigma * m^(-1/5); the
+    density integrates to one over the line. Kernels are added in sample
+    order, one sample at a time per grid point, whatever the block size.
     Returns (grid, density, samples).
     """
-    temps = np.array([a.temperature_k for a in log.actions])
-    j = np.array([a.current_a for a in log.actions]) / PlantParams().membrane_area_cm2
+    temps = np.asarray(temperature_k, dtype=float)
+    j = np.asarray(current_a, dtype=float) / PlantParams().membrane_area_cm2
     samples = j[np.abs(temps - temperature_level) < TEMP_MATCH_TOL_K]
     if len(samples) < 2:
         raise ValueError(
@@ -126,14 +126,17 @@ def kde_current_density(log: TrajectoryLog, temperature_level: float, bandwidth:
     grid = np.linspace(lo, hi, 1024)
     dens = np.zeros_like(grid)
     norm = 1.0 / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
-    for s in samples:
-        dens += np.exp(-0.5 * ((grid - s) / bandwidth) ** 2)
+    for first in range(0, len(samples), _KDE_BLOCK):
+        blk = np.exp(-0.5 * ((grid - samples[first : first + _KDE_BLOCK, None]) / bandwidth) ** 2)
+        # reducing over rows adds them in order, as a per-sample loop would
+        blk[0] += dens
+        dens = np.add.reduce(blk, axis=0)
     dens *= norm
     return grid, dens, samples
 
 
-def write_kde_csv(log: TrajectoryLog, temperature_level: float, path: str | Path) -> None:
-    grid, dens, _ = kde_current_density(log, temperature_level)
+def write_kde_csv(temperature_k, current_a, temperature_level: float, path: str | Path) -> None:
+    grid, dens, _ = kde_current_density(temperature_k, current_a, temperature_level)
     lines = ["current_density_a_cm2,density"]
     lines += [f"{g!r},{d!r}" for g, d in zip(grid.tolist(), dens.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")

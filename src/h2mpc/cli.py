@@ -16,6 +16,7 @@ commitment step, so no commitment could be frozen).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from datetime import date, datetime
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, market, ocp, rollout, units
-from .params import ParamError, PlantParams, PlantState, load_params, validate_params
+from .params import CostLedger, ParamError, PlantParams, PlantState, load_params, validate_params
 from .rollout import RolloutError, TrajectoryLog
 
 EXIT_OK = 0
@@ -109,7 +110,7 @@ def _load_inputs(args):
 
 def _summary_text(log: TrajectoryLog) -> str:
     ledger = log.ledger()
-    b = analysis.lcoh_breakdown(log)
+    b = analysis.lcoh_breakdown(ledger)
     flagged = sum(log.flagged)
     lines = [
         f"strategy            {log.strategy}",
@@ -169,14 +170,22 @@ def _cmd_compare(args) -> int:
 def _cmd_analyze(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log = TrajectoryLog.from_csv(args.log)
+    strategy, stamps, cells = rollout.read_trajectory_csv(args.log)
+    col = dict(zip(rollout.TRAJECTORY_CSV_HEADER.split(",")[2:], cells.T))
     if args.kind == "lcoh":
-        analysis.write_lcoh_csv(log, out / "lcoh.csv")
+        # per-step tons are differences of the stored running total, as in from_csv
+        h2_ton = np.diff(col["cum_h2_ton"], prepend=0.0)
+        ledger = CostLedger(
+            electricity_usd=math.fsum(col["elec_cost_usd"]),
+            membrane_usd=math.fsum(col["mem_cost_usd"]),
+            h2_ton=math.fsum(h2_ton),
+        )
+        analysis.write_lcoh_csv(strategy, ledger, out / "lcoh.csv")
     elif args.kind == "kde":
         level = args.temperature
         if level is None:
-            level = analysis.most_visited_temperature(log)
-        analysis.write_kde_csv(log, level, out / "kde.csv")
+            level = analysis.most_visited_temperature(col["temperature_k"])
+        analysis.write_kde_csv(col["temperature_k"], col["current_a"], level, out / "kde.csv")
     elif args.kind == "surface":
         p = PlantParams()
         t_grid = np.linspace(p.temperature_min, p.temperature_max, 21)
@@ -186,7 +195,9 @@ def _cmd_analyze(args) -> int:
             t_grid, np.linspace(j_lo, j_hi, 25), out / "surface.csv"
         )
     else:
-        analysis.write_cumulative_costs_csv(log, out / "cumcost.csv")
+        analysis.write_cumulative_costs_csv(
+            stamps, col["cum_elec_usd"], col["cum_mem_usd"], out / "cumcost.csv"
+        )
     print(f"wrote analysis CSV into {out}")
     return EXIT_OK
 

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+import numpy as np
+
 from . import electrolyzer, ocp, units
 from .market import settle, step_in_day
 from .params import ControlAction, CostLedger, DamCommitment, PlantParams, PlantState, PriceSeries
@@ -117,38 +119,9 @@ class TrajectoryLog:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrajectoryLog":
-        """Read a log ``to_csv`` wrote, one line at a time.
-
-        Raises ValueError for a wrong header or an empty log, and, naming
-        ``path:line``, for a row with the wrong field count, a cell that is
-        no number or timestamp, or a strategy other than the first row's.
-        """
-        path = Path(path)
-        n_fields = TRAJECTORY_CSV_HEADER.count(",") + 1
-        strategy = None
-        stamps: list[datetime] = []
-        cols: list[list[float]] = [[] for _ in range(n_fields - 2)]
-        with path.open() as fh:
-            if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
-                raise ValueError(f"{path}: unexpected trajectory header")
-            for line_no, line in enumerate(fh, start=2):
-                # the last cell keeps its newline, which float() ignores
-                row = line.split(",")
-                if len(row) != n_fields:
-                    raise ValueError(f"{path}:{line_no}: {len(row)} fields, expected {n_fields}")
-                if strategy is None:
-                    strategy = row[1]
-                elif row[1] != strategy:
-                    raise ValueError(f"{path}:{line_no}: strategy {row[1]!r} in a {strategy!r} log")
-                try:
-                    stamps.append(datetime.fromisoformat(row[0]))
-                    for col, cell in zip(cols, row[2:]):
-                        col.append(float(cell))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-        if not stamps:
-            raise ValueError(f"{path}: empty trajectory")
-        *action_cols, membrane, storage, dam, rtm, elec, mem, _, _, cum_h2 = cols
+        """Read a log ``to_csv`` wrote; raises as ``read_trajectory_csv``."""
+        strategy, stamps, cells = read_trajectory_csv(path)
+        *action_cols, membrane, storage, dam, rtm, elec, mem, _, _, cum_h2 = cells.T.tolist()
         step = timedelta(minutes=units.STEP_MINUTES)
         return cls(
             strategy=strategy,
@@ -161,6 +134,58 @@ class TrajectoryLog:
             mem_cost=mem,
             h2_ton=[b - a for a, b in zip([0.0, *cum_h2], cum_h2)],
         )
+
+
+def read_trajectory_csv(path: str | Path) -> tuple[str, list[datetime], np.ndarray]:
+    """A trajectory CSV as (strategy, timestamps, cells).
+
+    ``cells`` is an (n, 16) float array of the numeric columns in header
+    order, parsed in one numpy call. Raises ValueError for a wrong header or
+    an empty log, and, naming ``path:line``, for a row with the wrong field
+    count, a cell that is no number or timestamp, or a strategy other than
+    the first row's.
+    """
+    path = Path(path)
+    n_fields = TRAJECTORY_CSV_HEADER.count(",") + 1
+    strategy = None
+    stamps: list[datetime] = []
+    rests: list[str] = []  # each row after its strategy cell
+    with path.open() as fh:
+        if fh.readline().rstrip("\n") != TRAJECTORY_CSV_HEADER:
+            raise ValueError(f"{path}: unexpected trajectory header")
+        for line_no, line in enumerate(fh, start=2):
+            n = line.count(",") + 1
+            if n != n_fields:
+                raise ValueError(f"{path}:{line_no}: {n} fields, expected {n_fields}")
+            stamp, name, rest = line.split(",", 2)
+            if strategy is None:
+                strategy = name
+            elif name != strategy:
+                raise ValueError(f"{path}:{line_no}: strategy {name!r} in a {strategy!r} log")
+            try:
+                stamps.append(datetime.fromisoformat(stamp))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            rests.append(rest)
+    if not stamps:
+        raise ValueError(f"{path}: empty trajectory")
+    try:
+        return strategy, stamps, _parse_cells(rests)
+    except ValueError as exc:
+        error = f"{path}: {exc}"
+    for line_no, rest in enumerate(rests, start=2):  # name the first bad row
+        try:
+            _parse_cells([rest])
+        except ValueError as exc:
+            # numpy's own "at row 0, column c" counts within this one row
+            error = f"{path}:{line_no}: {str(exc).partition(' at row ')[0]}"
+            break
+    raise ValueError(error)
+
+
+def _parse_cells(rows: list[str]) -> np.ndarray:
+    # comments=None: by default numpy drops everything after a '#' in a cell
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
 
 
 def _prefix_fsum(values: list[float]) -> list[float]:

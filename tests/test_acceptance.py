@@ -183,7 +183,7 @@ class TestCriterion6StrategyOrdering:
         assert totals["hf-ss"] < totals["co"]
         print("  strategy   lcoh[k$/ton]  elec-share   paper-lcoh  paper-share")
         for name in ("hf-ms", "lf-ms", "hf-ss", "co"):
-            b = analysis.lcoh_breakdown(logs[name])
+            b = analysis.lcoh_breakdown(logs[name].ledger())
             print(
                 f"  {name:8s} {b.total_kusd_per_ton:12.3f}  {b.elec_share:10.1%}"
                 f"  {PAPER_LCOH[name]:10.3f}  {PAPER_ELEC_SHARE[name]:10.0%}"
@@ -253,14 +253,15 @@ class TestCriterion9Kde:
     def test_kde_normalization_and_mode(self, week_logs):
         logs, _ = week_logs
         log = logs["hf-ms"]
-        grid, dens, samples = analysis.kde_current_density(log, 343.15)
+        temps = np.array([a.temperature_k for a in log.actions])
+        currents = np.array([a.current_a for a in log.actions])
+        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15)
         integral = float(np.trapezoid(dens, grid))
         assert abs(integral - 1.0) < 1e-6
         mode_j = float(grid[np.argmax(dens)])
         # the rate at the mode is taken at the temperature the selected
         # steps ran at, not at the nominal level: |rate| grows by about
         # 4.4e-4 um/min per K here, far more than the mode-median gap
-        temps = np.array([a.temperature_k for a in log.actions])
         level_t = float(np.median(temps[np.abs(temps - 343.15) < analysis.TEMP_MATCH_TOL_K]))
         mode_rate = abs(el.degradation_rate(level_t, mode_j))
         traj = np.array([

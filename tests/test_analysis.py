@@ -4,86 +4,107 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from h2mpc import analysis, units
+from h2mpc import analysis, cli, units
 from h2mpc import electrolyzer as el
-from h2mpc.params import ControlAction, PlantParams, PlantState
+from h2mpc.params import ControlAction, CostLedger, PlantParams, PlantState
 from h2mpc.rollout import TrajectoryLog
+
+START = datetime(2022, 1, 3)
 
 
 def synthetic_log(rows):
-    """Hand-assembled log: rows of (temperature, current, elec, mem, h2)."""
+    """Hand-assembled log columns from rows of (temperature, current, elec,
+    mem, h2): the temperature and current columns, and the cost ledger."""
+    temperature_k, current_a, elec, mem, h2 = np.array(rows, dtype=float).reshape(-1, 5).T
+    ledger = CostLedger(math.fsum(elec), math.fsum(mem), math.fsum(h2))
+    return temperature_k, current_a, ledger
+
+
+def analyze_cumcost(rows, tmp_path):
+    """The rows written as a trajectory CSV, then `h2mpc analyze cumcost`:
+    (timestamps, cum_elec, cum_mem, cum_total) read back from its output."""
     log = TrajectoryLog(strategy="hf-ms")
-    ts = datetime(2022, 1, 3)
     for i, (t, current, elec, mem, h2) in enumerate(rows):
-        log.timestamps.append(ts + timedelta(minutes=15 * i))
+        log.timestamps.append(START + timedelta(minutes=15 * i))
         log.actions.append(ControlAction(50.0, 0.0, t, current, 499.93, 0.0, 0.0))
-        log.states.append(
-            PlantState(178.0, 4200.0, ts + timedelta(minutes=15 * (i + 1)))
-        )
+        log.states.append(PlantState(178.0, 4200.0, START + timedelta(minutes=15 * (i + 1))))
         log.dam_price.append(25.0)
         log.rtm_price.append(25.0)
         log.elec_cost.append(elec)
         log.mem_cost.append(mem)
         log.h2_ton.append(h2)
-        log.flagged.append(False)
-    return log
+    log.to_csv(tmp_path / "log.csv")
+    code = cli.main(["analyze", "--log", str(tmp_path / "log.csv"), "cumcost", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "cumcost.csv").read_text().splitlines()
+    assert lines[0] == "timestamp,cum_elec_usd,cum_mem_usd,cum_total_usd"
+    cells = [line.split(",") for line in lines[1:]]
+    ts = [datetime.fromisoformat(c[0]) for c in cells]
+    ce, cm, ct = np.array([[float(x) for x in c[1:]] for c in cells]).T
+    return ts, ce, cm, ct
 
 
 class TestCumulativeCosts:
-    def test_empty_log(self):
-        ts, ce, cm, ct = analysis.cumulative_costs(TrajectoryLog(strategy="co"))
-        assert ts == [] and len(ce) == len(cm) == len(ct) == 0
+    def test_empty_log(self, tmp_path, capsys):
+        path = tmp_path / "cum.csv"
+        analysis.write_cumulative_costs_csv([], [], [], path)
+        assert path.read_text() == "timestamp,cum_elec_usd,cum_mem_usd,cum_total_usd\n"
+        # a log with no steps is an input error, not an empty table
+        TrajectoryLog(strategy="co").to_csv(tmp_path / "empty.csv")
+        code = cli.main(["analyze", "--log", str(tmp_path / "empty.csv"), "cumcost", "--out", str(tmp_path)])
+        assert code == 2
+        assert "empty trajectory" in capsys.readouterr().err
 
-    def test_single_step_hand_sum(self):
+    def test_single_step_hand_sum(self, tmp_path):
         # one constant-operation step: 58 MW at $25 for a quarter hour
-        log = synthetic_log([(343.15, 3.526e4, 58.0 * 0.25 * 25.0, 120.0, 0.252)])
-        _, ce, cm, ct = analysis.cumulative_costs(log)
+        ts, ce, cm, ct = analyze_cumcost([(343.15, 3.526e4, 58.0 * 0.25 * 25.0, 120.0, 0.252)], tmp_path)
+        assert ts == [START]
         assert ce[0] == pytest.approx(362.5)
         assert cm[0] == 120.0
         assert ct[0] == pytest.approx(482.5)
 
-    def test_total_matches_ledger_and_mem_monotone(self):
+    def test_total_matches_ledger_and_mem_monotone(self, tmp_path):
         rows = [(343.15, 3.526e4, 100.0 - 3 * i, 10.0 * i, 0.25) for i in range(8)]
-        log = synthetic_log(rows)
-        _, ce, cm, ct = analysis.cumulative_costs(log)
-        led = log.ledger()
+        _, ce, cm, ct = analyze_cumcost(rows, tmp_path)
+        _, _, led = synthetic_log(rows)
         assert ct[-1] == pytest.approx(led.electricity_usd + led.membrane_usd)
         assert np.all(np.diff(cm) >= 0.0)
 
     def test_csv_writer(self, tmp_path):
-        log = synthetic_log([(343.15, 3.526e4, 10.0, 1.0, 0.1)] * 3)
         path = tmp_path / "cum.csv"
-        analysis.write_cumulative_costs_csv(log, path)
+        stamps = [START + timedelta(minutes=15 * i) for i in range(3)]
+        analysis.write_cumulative_costs_csv(stamps, [10.0, 20.0, 30.0], [1.0, 2.0, 3.0], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "timestamp,cum_elec_usd,cum_mem_usd,cum_total_usd"
         assert len(lines) == 4
         for line in lines[1:]:
             [float(cell) for cell in line.split(",")[1:]]
+        assert lines[3] == "2022-01-03T00:30:00,30.0,3.0,33.0"
 
 
 class TestLcoh:
     def test_shares_sum_to_one(self):
-        log = synthetic_log([(343.15, 3.526e4, 400.0, 100.0, 0.25)] * 10)
-        b = analysis.lcoh_breakdown(log)
+        _, _, ledger = synthetic_log([(343.15, 3.526e4, 400.0, 100.0, 0.25)] * 10)
+        b = analysis.lcoh_breakdown(ledger)
         assert b.elec_share + b.mem_share == pytest.approx(1.0, abs=1e-12)
         assert b.total_kusd_per_ton == pytest.approx(5000.0 / 2.5 / 1000.0)
 
     def test_zero_membrane_share(self):
-        log = synthetic_log([(343.15, 3.526e4, 400.0, 0.0, 0.25)] * 4)
-        assert analysis.lcoh_breakdown(log).mem_share == 0.0
+        _, _, ledger = synthetic_log([(343.15, 3.526e4, 400.0, 0.0, 0.25)] * 4)
+        assert analysis.lcoh_breakdown(ledger).mem_share == 0.0
 
     def test_invariant_under_currency_rescaling(self):
         rows = [(343.15, 3.526e4, 321.0, 77.0, 0.3)] * 6
-        a = analysis.lcoh_breakdown(synthetic_log(rows))
+        a = analysis.lcoh_breakdown(synthetic_log(rows)[2])
         scaled = [(t, i, 3.7 * e, 3.7 * m, h) for t, i, e, m, h in rows]
-        b = analysis.lcoh_breakdown(synthetic_log(scaled))
+        b = analysis.lcoh_breakdown(synthetic_log(scaled)[2])
         assert a.elec_share == pytest.approx(b.elec_share, rel=1e-12)
         assert b.total_kusd_per_ton == pytest.approx(3.7 * a.total_kusd_per_ton, rel=1e-12)
 
     def test_zero_production_rejected(self):
-        log = synthetic_log([(343.15, 3.526e4, 1.0, 1.0, 0.0)])
+        _, _, ledger = synthetic_log([(343.15, 3.526e4, 1.0, 1.0, 0.0)])
         with pytest.raises(ValueError, match="no hydrogen"):
-            analysis.lcoh_breakdown(log)
+            analysis.lcoh_breakdown(ledger)
 
 
 class TestDegradationSurface:
@@ -119,8 +140,8 @@ class TestDegradationSurface:
 
 class TestKde:
     def test_single_atom(self):
-        log = synthetic_log([(343.15, 3.526e4, 1.0, 1.0, 0.1)] * 8)
-        grid, dens, samples = analysis.kde_current_density(log, 343.15)
+        temps, currents, _ = synthetic_log([(343.15, 3.526e4, 1.0, 1.0, 0.1)] * 8)
+        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15)
         assert len(samples) == 8
         j = 3.526e4 / 50000.0
         assert grid[np.argmax(dens)] == pytest.approx(j, abs=0.01)
@@ -129,8 +150,8 @@ class TestKde:
 
     def test_two_clusters_symmetric_bimodal(self):
         rows = [(343.15, 30000.0, 1, 1, 0.1)] * 12 + [(343.15, 50000.0, 1, 1, 0.1)] * 12
-        log = synthetic_log(rows)
-        grid, dens, _ = analysis.kde_current_density(log, 343.15, bandwidth=0.03)
+        temps, currents, _ = synthetic_log(rows)
+        grid, dens, _ = analysis.kde_current_density(temps, currents, 343.15, bandwidth=0.03)
         integral = np.trapezoid(dens, grid)
         assert integral == pytest.approx(1.0, abs=1e-6)
         center = 0.5 * (30000.0 + 50000.0) / 50000.0
@@ -146,8 +167,8 @@ class TestKde:
         rng = np.random.default_rng(0)
         js = rng.uniform(30000.0, 60000.0, 40)
         rows = [(343.15, j, 1, 1, 0.1) for j in js]
-        log = synthetic_log(rows)
-        grid, dens, samples = analysis.kde_current_density(log, 343.15)
+        temps, currents, _ = synthetic_log(rows)
+        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15)
         sigma = np.std(samples, ddof=1)
         bw = 1.06 * sigma * len(samples) ** (-0.2)
         # reproduce the density independently at a probe point
@@ -157,16 +178,29 @@ class TestKde:
         ) / (bw * math.sqrt(2 * math.pi))
         assert dens[len(grid) // 2] == pytest.approx(expected, rel=1e-9)
 
+    def test_blocks_add_kernels_as_the_per_sample_loop(self):
+        # more samples than one block holds, and a partial last block
+        n = 2 * analysis._KDE_BLOCK + 37
+        currents = np.random.default_rng(3).uniform(30000.0, 60000.0, n)
+        temps = np.full(n, 343.15)
+        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15, bandwidth=0.03)
+        loop = np.zeros_like(grid)
+        for s in samples:
+            loop += np.exp(-0.5 * ((grid - s) / 0.03) ** 2)
+        loop *= 1.0 / (n * 0.03 * math.sqrt(2.0 * math.pi))
+        assert np.array_equal(dens, loop)
+
     def test_temperature_matching_tolerance(self):
         rows = [(343.0001, 40000.0, 1, 1, 0.1)] * 5 + [(353.15, 60000.0, 1, 1, 0.1)] * 5
-        log = synthetic_log(rows)
-        _, _, samples = analysis.kde_current_density(log, 343.15)
+        temps, currents, _ = synthetic_log(rows)
+        _, _, samples = analysis.kde_current_density(temps, currents, 343.15)
         assert len(samples) == 5  # only the near-343 steps selected
 
     def test_csv_cells_are_plain_numbers(self, tmp_path):
         rows = [(343.0, 30000.0 + 500.0 * i, 1, 1, 0.1) for i in range(6)]
         path = tmp_path / "kde.csv"
-        analysis.write_kde_csv(synthetic_log(rows), 343.0, path)
+        temps, currents, _ = synthetic_log(rows)
+        analysis.write_kde_csv(temps, currents, 343.0, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "current_density_a_cm2,density"
         for line in lines[1:]:
@@ -179,13 +213,13 @@ class TestKde:
             + [(343.2, 40000.0, 1, 1, 0.1)] * 2
         )
         # 343.0001 and 343.2 share one window of 5 steps
-        assert analysis.most_visited_temperature(synthetic_log(rows)) == 343.0001
+        assert analysis.most_visited_temperature(synthetic_log(rows)[0]) == 343.0001
 
     def test_most_visited_level_tie_takes_the_lowest(self):
         rows = [(352.99, 40000.0, 1, 1, 0.1)] * 3 + [(343.0, 40000.0, 1, 1, 0.1)] * 3
-        assert analysis.most_visited_temperature(synthetic_log(rows)) == 343.0
+        assert analysis.most_visited_temperature(synthetic_log(rows)[0]) == 343.0
 
     def test_insufficient_samples(self):
-        log = synthetic_log([(353.15, 40000.0, 1, 1, 0.1)] * 5)
+        temps, currents, _ = synthetic_log([(353.15, 40000.0, 1, 1, 0.1)] * 5)
         with pytest.raises(ValueError, match="at least 2"):
-            analysis.kde_current_density(log, 343.15)
+            analysis.kde_current_density(temps, currents, 343.15)

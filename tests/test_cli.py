@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from h2mpc import cli, rollout
+from h2mpc.params import ControlAction, PlantState
 
 DAY = "2022-01-03"
 
@@ -177,7 +178,9 @@ class TestAnalyze:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("edit", ["too few fields", "extra field", "another strategy"])
+    @pytest.mark.parametrize("edit", [
+        "too few fields", "extra field", "another strategy", "no number", "bad timestamp", "comment mark",
+    ])
     def test_malformed_row_is_input_error_naming_its_line(self, co_run, tmp_path, capsys, edit):
         _, out, *_ = co_run
         lines = (out / "trajectory_co.csv").read_text().splitlines()
@@ -186,12 +189,40 @@ class TestAnalyze:
             "too few fields": cells[:-1],
             "extra field": cells + ["0.0"],
             "another strategy": [cells[0], "hf-ms", *cells[2:]],
+            "no number": [*cells[:4], "hot", *cells[5:]],
+            "bad timestamp": ["2022-01-03T25:00:00", *cells[1:]],
+            # numpy's default comment handling would read this cell as 4.0
+            "comment mark": [*cells[:4], "4#5", *cells[5:]],
         }[edit])
         log = tmp_path / "bad.csv"
         log.write_text("\n".join(lines) + "\n")
         code = cli.main(["analyze", "--log", str(log), "lcoh", "--out", str(tmp_path / "an")])
         assert code == 2
         assert f"{log}:6:" in capsys.readouterr().err
+
+    def test_analyze_builds_no_per_step_objects(self, co_run, tmp_path, monkeypatch):
+        _, out, *_ = co_run
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"analyze built a {type(self).__name__}")
+
+        monkeypatch.setattr(ControlAction, "__init__", refuse)
+        monkeypatch.setattr(PlantState, "__init__", refuse)
+        for kind in ("lcoh", "kde", "cumcost"):
+            code = cli.main(["analyze", "--log", str(out / "trajectory_co.csv"), kind,
+                             "--out", str(tmp_path / kind)])
+            assert code == 0, kind
+
+    def test_cumcost_emits_the_stored_running_totals(self, co_run, tmp_path):
+        _, out, *_ = co_run
+        log = rollout.TrajectoryLog.from_csv(out / "trajectory_co.csv")
+        code = cli.main(["analyze", "--log", str(out / "trajectory_co.csv"), "cumcost",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "cumcost.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == [ts.isoformat() for ts in log.timestamps]
+        assert [r[1] for r in rows] == [repr(x) for x in log.cum_elec()]
+        assert [r[2] for r in rows] == [repr(x) for x in log.cum_mem()]
 
     def test_analysis_imports_no_scipy(self, co_run, tmp_path):
         # the solver imports scipy at its first factorization; analysis never
