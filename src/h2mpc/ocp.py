@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -179,9 +179,11 @@ class OcpProblem:
             raise EvalError("objective is not finite")
         return obj, g
 
-    def _row_blocks(self, x: np.ndarray, jac: bool = True) -> tuple[list, electrolyzer.StackPoint]:
+    def _row_blocks(self, x: np.ndarray, jac: bool = True,
+                    ph: electrolyzer.StackPoint | None = None) -> tuple[list, electrolyzer.StackPoint]:
         """The constraint rows, declared once: ``(name, residual, terms)`` per
-        block, and the plant model they were evaluated with.
+        block, and the plant model they were evaluated with, ``ph`` when
+        given.
 
         Blocks come in row order, equalities first, then the ``voltage`` and
         ``plant_power`` ranges. Row i of a block has one Jacobian entry per
@@ -195,7 +197,8 @@ class OcpProblem:
         """
         self._check_finite(x, "variable")
         idx, p = self.idx, self.params
-        ph = self._stack_point(x, order=2 if jac else 0)
+        if ph is None:
+            ph = self._stack_point(x, order=2 if jac else 0)
         dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
@@ -282,11 +285,14 @@ class OcpProblem:
         """Name the rows, record each block's row slice and declare the
         Jacobian's entries.
 
-        One evaluation of the row table at the box midpoint gives every
-        entry's (row, column), in table order: the order in which
-        ``constraints_and_jacobian`` returns their values. No entry repeats.
+        The row table read with a stack point of zeros in place of the plant
+        model gives every entry's (row, column), in table order: the order
+        in which ``constraints_and_jacobian`` returns their values. No entry
+        repeats.
         """
-        blocks, _ = self._row_blocks(0.5 * (self.lb + self.ub))
+        zero = np.zeros(self.horizon)
+        unevaluated = electrolyzer.StackPoint(*[zero] * len(fields(electrolyzer.StackPoint)))
+        blocks, _ = self._row_blocks(np.zeros(self.n), ph=unevaluated)
         m = 0
         rows, cols = [], []
         for name, res, terms in blocks:

@@ -175,7 +175,7 @@ def load_params(path: str | Path) -> PlantParams:
     return validate_params(PlantParams(**overrides))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlantState:
     """Physical state fed back from the simulator each step."""
 
@@ -193,7 +193,7 @@ class PlantState:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlAction:
     """One step's decision record.
 

@@ -18,8 +18,15 @@ positive definite.
 As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
 column) entries once and its evaluations return only their values. Each
 solve fixes its scaled Jacobian's pattern once and keeps the Jacobian as
-values on it; only the least-squares multiplier estimate builds a sparse
-matrix from them.
+values on it.
+
+Each Newton step goes through the Schur complement of the barrier
+Hessian, as MPC-tailored interior-point methods do (Rao, Wright and
+Rawlings 1998; HPIPM): H is block diagonal and positive definite, so it is
+inverted block by block and the multiplier step solves the banded
+S = J H^-1 J^T + delta_c I by LAPACK's banded Cholesky, with one step of
+iterative refinement against the whole KKT system, as in IPOPT. The
+least-squares multiplier estimate uses the same kernel with H = I.
 
 A solve is ``optimal`` at the first iterate whose scaled KKT error is
 within ``KKT_TOLERANCE`` and whose raw infeasibility is within
@@ -34,21 +41,16 @@ Every variable and range bound must be finite; ``minimize`` rejects a
 problem with an infinite one. Everything is deterministic: identical
 (problem, start, config) yields an identical iterate sequence.
 
-scipy's sparse modules are imported at their first use, the first
-factorization, so importing the package for log analysis loads no solver
-dependency.
+scipy.linalg is imported at the first factorization, so importing the
+package for log analysis loads no solver dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 KKT_TOLERANCE = 1.0e-6
@@ -129,6 +131,8 @@ _PUSH_COLD = 1.0e-2
 _PUSH_WARM = 1.0e-12
 # smallest eigenvalue a projected curvature block keeps (scaled problem)
 _EIG_FLOOR = 1.0e-8
+# smallest share of its diagonal entry a pivot of the Schur complement keeps
+_PIVOT_FLOOR = 100.0 * np.finfo(float).eps
 # a start without multipliers discards least-squares ones larger than this
 # (IPOPT's constr_mult_init_max)
 _LS_DUAL_MAX = 1.0e3
@@ -144,7 +148,7 @@ class _ScaledNlp:
     curvature)`` as ``at_z0``. The scaled Jacobian is an array of values on
     this solve's pattern, the entries the problem declares with the -ds
     slack block: ``jac_rows``/``jac_cols``, row by row, each row's columns
-    descending (the order the summations in ``J @ J.T`` follow). Every
+    descending (the order of the matrix scipy assembles from them). Every
     evaluation only computes new values.
     """
 
@@ -201,15 +205,12 @@ class _ScaledNlp:
 
         # nonlinear blocks in reduced coordinates: each column's scale, zero
         # where the column is fixed (which zeroes its row and column of the
-        # scaled block), and the reduced (row, col) of every kept entry
-        blk = pos[np.asarray(prob.nonlinear_blocks(), dtype=np.int64)]
-        free_blk = blk >= 0
-        self.blk_dx = np.zeros(blk.shape)
-        self.blk_dx[free_blk] = self.dx[blk[free_blk]]
-        kept = free_blk[:, :, None] & free_blk[:, None, :]
-        self.hess_keep = np.flatnonzero(kept)
-        self.hess_rows = np.broadcast_to(blk[:, :, None], kept.shape)[kept]
-        self.hess_cols = np.broadcast_to(blk[:, None, :], kept.shape)[kept]
+        # scaled block), and its reduced index, -1 where fixed
+        self.blk = pos[np.asarray(prob.nonlinear_blocks(), dtype=np.int64)]
+        free_blk = self.blk >= 0
+        self.blk_dx = np.zeros(self.blk.shape)
+        self.blk_dx[free_blk] = self.dx[self.blk[free_blk]]
+        self.blk_kept = free_blk[:, :, None] & free_blk[:, None, :]
 
         self.at_z0 = (self._scaled_residual(res0, self.z0), self._scaled_jacobian(vals0), self._infeasibility(res0), curv0)
 
@@ -263,11 +264,11 @@ class _ScaledNlp:
 
     def hessian(self, curvature, y: np.ndarray) -> np.ndarray:
         """Projected curvature of the scaled Lagrangian with multipliers y,
-        from an evaluation's ``curvature``: one value per (``hess_rows``,
-        ``hess_cols``) entry."""
+        from an evaluation's ``curvature``: one (k, k) block per row of
+        ``blk``, zero in the rows and columns of fixed variables."""
         hx = curvature(self.obj_scale, y * self.row_scale)
         hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
-        return _project_blocks(hz).reshape(-1)[self.hess_keep]
+        return np.where(self.blk_kept, _project_blocks(hz), 0.0)
 
     def _scaled_jacobian(self, values: np.ndarray) -> np.ndarray:
         vals = np.concatenate([values, -self.ds])[self.jac_src]
@@ -297,39 +298,167 @@ def _project_blocks(h: np.ndarray) -> np.ndarray:
     return np.where((w[:, 0] >= _EIG_FLOOR)[:, None, None], h, proj)
 
 
-class _KktLayout:
-    """Sparsity of the barrier KKT matrix [[W + diag, J^T], [J, -delta_c I]]
-    of a ``_ScaledNlp``.
+class _SchurKkt:
+    """The barrier KKT system [[H, J^T], [J, -delta_c I]] of a ``_ScaledNlp``,
+    solved through the Schur complement S = J H^-1 J^T + delta_c I.
 
-    W is the block-diagonal projected curvature, given as values at the
-    (``hess_rows``, ``hess_cols``) entries, and J the Jacobian's values on
-    its (``jac_rows``, ``jac_cols``) pattern. The (row, col) slots are fixed
-    per solve; each factorization only supplies values, and drops the ones
-    that come out zero, since SuperLU's column ordering follows the pattern.
+    H = W + diag(h) is block diagonal: the curvature blocks W on the rows of
+    ``blk``, and h alone on every other column. With h positive, as the
+    barrier's is, H is positive definite, and so is S when J has full row
+    rank or delta_c is positive. H is inverted block by block and S factored
+    by LAPACK's banded Cholesky.
+
+    The plan, laid out once per solve: an order of the rows that keeps S's
+    band narrow (``_band_order``), and the band slot of every term of S on
+    or below its diagonal. A block adds its local Jacobian (the rows that
+    reach it, by rank) times its inverse times that transposed, one batched
+    product for all blocks; a column outside the blocks adds the products
+    of its entries over h, pair by pair.
     """
 
     def __init__(self, nlp: _ScaledNlp):
-        nz = nlp.nz
-        n = nz + nlp.m
-        diag = np.arange(n)
-        j_rows = nz + nlp.jac_rows
-        rows = [nlp.hess_rows, diag[:nz], j_rows, nlp.jac_cols, diag[nz:]]
-        cols = [nlp.hess_cols, diag[:nz], nlp.jac_cols, j_rows, diag[nz:]]
-        keys, self.slot = np.unique(np.concatenate(cols) * n + np.concatenate(rows), return_inverse=True)
-        self.indices = keys % n
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        self.shape = (n, n)
-        self.m = nlp.m
+        self.nz, self.m = nz, m = nlp.nz, nlp.m
+        self.rows, self.cols = rows, cols = nlp.jac_rows, nlp.jac_cols
+        nb, k = nlp.blk.shape
+        kept = nlp.blk >= 0
+        # index nz stands in for a block's fixed columns
+        self.blk = np.where(kept, nlp.blk, nz)
+        self.order = _band_order(rows, cols, self.blk, m, nz)
+        rank = np.empty(m, dtype=np.intp)
+        rank[self.order] = np.arange(m)
 
-    def matrix(self, w: np.ndarray, h_diag: np.ndarray, jac: np.ndarray, delta_c: float) -> sp.csc_matrix:
-        import scipy.sparse as sp
+        # each column's group, its block or else nb + the column, and its
+        # place in the block; the entries by (group, rank), blocks first
+        group = nb + np.arange(nz + 1)
+        local = np.zeros(nz + 1, dtype=np.intp)
+        b_of, a_of = np.nonzero(kept)
+        group[self.blk[kept]], local[self.blk[kept]] = b_of, a_of
+        g, r = group[cols], rank[rows]
+        e = np.argsort(g * m + r)
+        g, r = g[e], r[e]
+        split = np.searchsorted(g, nb)
 
-        # a block's diagonal and h_diag share slots and sum in list order
-        values = np.concatenate([w, h_diag, jac, jac, np.full(self.m, -delta_c)])
-        data = np.bincount(self.slot, weights=values, minlength=len(self.indices))
-        K = sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape, copy=True)
-        K.eliminate_zeros()
-        return K
+        # the blocks: each entry's place in the (nb, R, k) local Jacobians
+        # (index len(cols) reads a zero), and the (i, j) products with
+        # rank i >= rank j
+        g_b, r_b, e_b = g[:split], r[:split], e[:split]
+        new_row = np.diff(g_b * m + r_b, prepend=-1) != 0
+        row_id = np.cumsum(new_row) - 1
+        row_at = row_id - np.maximum.accumulate(np.where(np.diff(g_b, prepend=-1) != 0, row_id, 0))
+        self.R = R = int(np.max(row_at, initial=-1)) + 1
+        self.jb_at = np.full(nb * R * k, len(cols))
+        self.jb_at[(g_b * R + row_at) * k + local[cols[e_b]]] = e_b
+        block_rank = np.full((nb, R), -1)
+        block_rank[g_b[new_row], row_at[new_row]] = r_b[new_row]
+        rank_i, rank_j = np.broadcast_arrays(block_rank[:, :, None], block_rank[:, None, :])
+        lower = (rank_i >= rank_j) & (rank_j >= 0)
+        self.sb_keep = np.flatnonzero(lower)
+
+        # the other columns: each entry paired with itself and the entries of
+        # its column before it
+        g_d, r_d, e_d = g[split:], r[split:], e[split:]
+        at = np.arange(len(g_d))
+        start = np.maximum.accumulate(np.where(np.diff(g_d, prepend=-1) != 0, at, 0))
+        span = at - start + 1
+        first = np.repeat(at, span)
+        second = np.arange(len(first)) - np.repeat(np.cumsum(span) - span - start, span)
+        self.d1, self.d2, self.d_col = e_d[first], e_d[second], g_d[first] - nb
+
+        rank_i = np.concatenate([rank_i[lower], r_d[first]])
+        rank_j = np.concatenate([rank_j[lower], r_d[second]])
+        self.bw = int(np.max(rank_i - rank_j, initial=0))
+        self.slot = (rank_i - rank_j) * m + rank_j
+
+    def blocks(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """H's blocks: the curvature ``w`` with the diagonal ``h`` added, and
+        1 on the diagonal at a block's fixed columns."""
+        diag = np.arange(self.blk.shape[1])
+        hb = w.copy()
+        hb[:, diag, diag] += np.append(h, 1.0)[self.blk]
+        return hb
+
+    def band(self, hb_inv: np.ndarray, h_inv: np.ndarray, jac: np.ndarray, delta_c: float) -> np.ndarray:
+        """S in LAPACK's lower band storage, rows and columns in ``order``:
+        S[i, j] at [i - j, j]. H^-1 is given as the block inverses ``hb_inv``
+        and the inverse diagonal ``h_inv``, J as the values ``jac``."""
+        nb, k, _ = hb_inv.shape
+        jb = np.append(jac, 0.0)[self.jb_at].reshape(nb, self.R, k)
+        sb = jb @ hb_inv @ jb.transpose(0, 2, 1)
+        vals = np.concatenate([sb.ravel()[self.sb_keep], jac[self.d1] * h_inv[self.d_col] * jac[self.d2]])
+        band = np.bincount(self.slot, vals, minlength=(self.bw + 1) * self.m).reshape(self.bw + 1, self.m)
+        band[0] += delta_c
+        return band
+
+    def factor(self, w: np.ndarray, h: np.ndarray, jac: np.ndarray, delta_c: float):
+        """A solve of the system with curvature blocks ``w``, diagonal ``h`` and
+        Jacobian values ``jac``, refined once against the whole system.
+        Raises LinAlgError when S is not numerically positive definite."""
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        nz, m, rows, cols, blk = self.nz, self.m, self.rows, self.cols, self.blk
+        hb = self.blocks(w, h)
+        hb_inv = np.linalg.inv(hb)
+        h_inv = 1.0 / h
+        if m:
+            band = self.band(hb_inv, h_inv, jac, delta_c)
+            chol = cholesky_banded(band, lower=True, check_finite=False)
+            # a pivot left with a few ulps of its diagonal entry is roundoff:
+            # its row depends on the rows before it
+            if np.any(chol[0] ** 2 <= _PIVOT_FLOOR * band[0]):
+                raise np.linalg.LinAlgError("Schur complement is numerically singular")
+
+        def apply(blocks, d, v):
+            """The block diagonal matrix of ``blocks``, ``d`` off the blocks, times v."""
+            out = np.append(d * v, 0.0)
+            out[blk] = (blocks @ np.append(v, 0.0)[blk][:, :, None])[:, :, 0]
+            return out[:nz]
+
+        def once(r1, r2):
+            """(dz, dy) and J^T dy: dy from S dy = J H^-1 r1 - r2, then
+            dz = H^-1 (r1 - J^T dy)."""
+            t = apply(hb_inv, h_inv, r1)
+            dy = np.empty(m)
+            if m:
+                rhs = np.bincount(rows, jac * t[cols], minlength=m) - r2
+                dy[self.order] = cho_solve_banded((chol, True), rhs[self.order], check_finite=False)
+            jt_dy = np.bincount(cols, jac * dy[rows], minlength=nz)
+            return apply(hb_inv, h_inv, r1 - jt_dy), dy, jt_dy
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            r1, r2 = rhs[:nz], rhs[nz:]
+            dz, dy, jt_dy = once(r1, r2)
+            # one step of iterative refinement on the residual of the full system
+            ky = np.bincount(rows, jac * dz[cols], minlength=m) - delta_c * dy
+            ez, ey, _ = once(r1 - apply(hb, h, dz) - jt_dy, r2 - ky)
+            return np.concatenate([dz + ez, dy + ey])
+
+        return solve
+
+
+def _band_order(rows, cols, blk, m, nz) -> np.ndarray:
+    """An order of the constraint rows that keeps S narrow.
+
+    A block's columns stand at the block's index; a row stands at the mean
+    of its placed columns, and a column outside the blocks at the mean of its
+    placed rows. Sweeps place rows, then columns, until no row is newly
+    placed. Rows sort by where they stand, ties and the never-placed rows
+    (they reach no block) in row order, the latter last.
+    """
+    col_at = np.full(nz + 1, np.nan)
+    col_at[blk] = np.arange(len(blk))[:, None]
+    col_at[nz] = np.nan
+    row_at = np.full(m, np.nan)
+    while True:
+        placed = ~np.isnan(col_at[cols])
+        count = np.bincount(rows[placed], minlength=m)
+        new = (count > 0) & np.isnan(row_at)
+        row_at[new] = np.bincount(rows[placed], col_at[cols[placed]], minlength=m)[new] / count[new]
+        if not new.any() or not np.isnan(row_at).any():
+            return np.argsort(row_at, kind="stable")
+        placed = ~np.isnan(row_at[rows])
+        count = np.bincount(cols[placed], minlength=nz + 1)
+        new = (count > 0) & np.isnan(col_at)
+        col_at[new] = np.bincount(cols[placed], row_at[rows[placed]], minlength=nz + 1)[new] / count[new]
 
 
 def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
@@ -346,8 +475,8 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     each (row, column) pair once. ``constraints_and_jacobian(x)`` returns
     the residuals, the values of those entries in declared order, and a
     ``curvature(obj_weight, lam)`` of that point. ``nonlinear_blocks()``
-    gives an (H, k) array of column groups outside which the Lagrangian is
-    linear, and the curvature is its (H, k, k) Hessian on them.
+    gives an (H, k) array of disjoint column groups outside which the
+    Lagrangian is linear, and the curvature is its (H, k, k) Hessian on them.
     """
     if not isinstance(start, Start):
         start = Start(start)
@@ -370,16 +499,16 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     z = nlp.z0
     f, g = nlp.objective(z)
     c, jac, feas, curvature = nlp.at_z0
+    # laid out at its first use: a start that is already optimal needs none
+    kkt = None
     if start.multipliers is not None:
         y, vl, vu = nlp.duals_in(start.multipliers)
         vl, vu = _dual_safeguard(z, vl, vu, nlp.lz, nlp.uz, mu)
     else:
         vl = mu / np.maximum(z - nlp.lz, 1.0e-12)
         vu = mu / np.maximum(nlp.uz - z, 1.0e-12)
-        y = _least_squares_duals(nlp, g, jac, vl, vu)
-
-    # laid out at the first Newton step: a start that is already optimal needs none
-    kkt = None
+        kkt = _SchurKkt(nlp)
+        y = _least_squares_duals(kkt, g, jac, vl, vu)
     nu = 1.0
     tau = max(_TAU_MIN, 1.0 - mu)
     log: list[IterationRecord] = []
@@ -410,7 +539,7 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
         grad_y = grad_mu + jty
         w = nlp.hessian(curvature, y)
         if kkt is None:
-            kkt = _KktLayout(nlp)
+            kkt = _SchurKkt(nlp)
         step, kkt_solve, delta_w = _solve_kkt(kkt, w, sigma, jac, np.concatenate([-grad_y, -c]), delta_w)
         if step is None:
             status = "singular_kkt"
@@ -551,23 +680,19 @@ def _dual_safeguard(z, vl, vu, lz, uz, mu):
     return vl, vu
 
 
-def _least_squares_duals(nlp, g, jac, vl, vu):
+def _least_squares_duals(kkt, g, jac, vl, vu):
     """Initial multipliers from min ||g + J^T y - vl + vu||; zero when that
     fails or any of them exceeds ``_LS_DUAL_MAX`` in magnitude. J is the
-    Jacobian with values ``jac`` on ``nlp``'s pattern."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    m = nlp.m
-    J = sp.csr_matrix((jac, nlp.jac_cols, np.searchsorted(nlp.jac_rows, np.arange(m + 1))), shape=(m, nlp.nz))
-    rhs = -(J @ (g - vl + vu))
-    JJt = (J @ J.T).tocsc() + 1.0e-8 * sp.identity(m, format="csc")
+    Jacobian with values ``jac`` on the pattern of ``kkt``. With H = I the
+    KKT system's multiplier part is (J J^T + 1e-8 I) y = -J (g - vl + vu)."""
+    nb, k = kkt.blk.shape
     try:
-        y = spla.splu(JJt).solve(rhs)
-    except RuntimeError:
-        return np.zeros(m)
+        solve = kkt.factor(np.zeros((nb, k, k)), np.ones(kkt.nz), jac, 1.0e-8)
+    except np.linalg.LinAlgError:
+        return np.zeros(kkt.m)
+    y = solve(np.concatenate([vl - vu - g, np.zeros(kkt.m)]))[kkt.nz :]
     if not np.all(np.isfinite(y)) or np.max(np.abs(y), initial=0.0) > _LS_DUAL_MAX:
-        return np.zeros(m)
+        return np.zeros(kkt.m)
     return y
 
 
@@ -575,23 +700,21 @@ def _solve_kkt(kkt, w, sigma, jac, rhs, delta_w):
     """Factor and solve the reduced barrier KKT system, regularizing on demand.
 
     Returns the step, a solve for further right-hand sides with the same
-    factors, and the regularization to start the next iteration from.
-    ``splu`` is read from its module at each call, so a tracer that
-    replaces ``scipy.sparse.linalg.splu`` sees every factorization.
+    factors, and the regularization to start the next iteration from. A
+    factorization that fails, or a step that is not finite, raises delta_c
+    and delta_w and tries again, at most 12 times.
     """
-    import scipy.sparse.linalg as spla
-
     delta_c = 0.0
     for _ in range(12):
         try:
-            lu = spla.splu(kkt.matrix(w, sigma + delta_w, jac, delta_c))
-            step = lu.solve(rhs)
-        except RuntimeError:
+            solve = kkt.factor(w, sigma + delta_w, jac, delta_c)
+            step = solve(rhs)
+        except np.linalg.LinAlgError:
             delta_c = max(delta_c * 10.0, 1.0e-10)
             delta_w = max(delta_w * 10.0, 1.0e-8)
             continue
         if np.all(np.isfinite(step)):
-            return step, lu.solve, max(delta_w / 3.0, 0.0)
+            return step, solve, max(delta_w / 3.0, 0.0)
         delta_c = max(delta_c * 10.0, 1.0e-10)
         delta_w = max(delta_w * 10.0, 1.0e-8)
     return None, None, delta_w

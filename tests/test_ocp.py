@@ -320,6 +320,33 @@ class TestRowTable:
         assert jacobian(prob, x0)[1].shape == (prob.m_eq + len(prob.rg_names), prob.n)
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
+    @pytest.mark.parametrize("shape", ["bootstrap", "09:00", "09:15"])
+    def test_build_declares_the_entries_without_the_plant_model(self, strategy, shape, params, state, monkeypatch):
+        # the closed loop's three horizon shapes; the table evaluated with the
+        # plant model at the box midpoint lays out the same entries
+        calls = []
+        real = el.stack_point
+        monkeypatch.setattr(el, "stack_point", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        if shape == "09:00":
+            prob = commitment_problem(strategy, state, params)
+        else:
+            sid = 0 if shape == "bootstrap" else units.COMMITMENT_STEP + 1
+            H = units.STEPS_PER_DAY - sid
+            prob = make_problem(strategy, state, params, H=H, step0=sid,
+                                dam_fixed=[None] * H if shape == "bootstrap" else None)
+        assert calls == []
+        blocks, _ = prob._row_blocks(0.5 * (prob.lb + prob.ub))
+        assert len(calls) == 1
+        rows, cols, m = [], [], 0
+        for _, res, terms in blocks:
+            for columns, _ in terms:
+                rows.append(np.arange(m, m + len(res)))
+                cols.append(columns)
+            m += len(res)
+        assert np.array_equal(prob.jac_rows, np.concatenate(rows))
+        assert np.array_equal(prob.jac_cols, np.concatenate(cols))
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_declared_entries_are_unique_and_inside_their_step(self, strategy, params, state):
         # a row of step t touches step t's variables and the states at the
         # step's end (t + 1); an hourly tie row touches the two day-ahead

@@ -11,8 +11,8 @@ from h2mpc import ocp, solver
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
-    _EIG_FLOOR, _PUSH_COLD, FEASIBILITY_TOLERANCE, KKT_TOLERANCE, Multipliers, SolverConfig, Start, _KktLayout,
-    _ScaledNlp, _project_blocks, _push_interior, minimize,
+    _EIG_FLOOR, _PUSH_COLD, FEASIBILITY_TOLERANCE, KKT_TOLERANCE, Multipliers, SolverConfig, Start, _SchurKkt,
+    _ScaledNlp, _project_blocks, _push_interior, _solve_kkt, minimize,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -54,6 +54,14 @@ class Quadratic:
 
     def nonlinear_blocks(self):
         return np.arange(self.n)[None, :]
+
+
+def dense_blocks(nlp, w):
+    """The reduced (nz, nz) matrix of the curvature blocks ``w`` of ``nlp``."""
+    kept = nlp.blk_kept
+    W = np.zeros((nlp.nz, nlp.nz))
+    W[np.broadcast_to(nlp.blk[:, :, None], kept.shape)[kept], np.broadcast_to(nlp.blk[:, None, :], kept.shape)[kept]] = w[kept]
+    return W
 
 
 def raw_cfg(**kw):
@@ -202,19 +210,19 @@ class TestSolverContract:
     def test_own_optimum_and_multipliers_are_optimal_at_once(self, obj_scale, params, state, monkeypatch):
         # the multipliers come back unscaled, so a re-solve under another
         # objective scale maps them into its own scaling and stops at its
-        # first KKT check, having laid out no KKT matrix
+        # first KKT check, having laid out no KKT system
         prob = _electrolyzer_problem(params, state, H=10, seed=29)
         sol = minimize(prob, cold_start(prob), SolverConfig())
         assert sol.ok
         fixed = prob.ub - prob.lb <= 0.0
         assert not np.any(sol.multipliers.lower[: prob.n][fixed])
         assert not np.any(sol.multipliers.upper[: prob.n][fixed])
-        layouts = []
-        monkeypatch.setattr(solver, "_KktLayout", lambda *a: layouts.append(a) or _KktLayout(*a))
+        plans = []
+        monkeypatch.setattr(solver, "_SchurKkt", lambda *a: plans.append(a) or _SchurKkt(*a))
         again = minimize(prob, Start(sol.x, sol.multipliers), SolverConfig(initialization="warm", obj_scale=obj_scale))
         assert again.ok
         assert again.iterations == 1
-        assert layouts == []
+        assert plans == []
         assert np.allclose(again.multipliers.rows, sol.multipliers.rows, rtol=1e-12, atol=0.0)
 
     def test_zero_carried_multipliers_are_safeguarded(self, params, state):
@@ -284,30 +292,6 @@ class TestSparsityLayout:
             assert np.array_equal(nlp.jac_cols, ref.indices)
             assert np.array_equal(values, ref.data)
 
-    @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
-    def test_kkt_matrix_equals_scipy_assembly(self, delta_c, params, state):
-        prob = commitment_problem(StrategyKind.HF_MS, state, params)
-        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
-        jac = nlp.at_z0[1]
-        J = self.assembled(nlp, jac)
-        rng = np.random.default_rng(5)
-        R = rng.normal(size=nlp.blk_dx.shape + nlp.blk_dx.shape[-1:])
-        blocks = R @ R.transpose(0, 2, 1)
-        blocks[1::2] *= np.eye(blocks.shape[-1])  # diagonal curvature on some blocks
-        w = blocks.reshape(-1)[nlp.hess_keep]
-        h_diag = rng.uniform(0.0, 2.0, nlp.nz)
-        h_diag[::7] = 0.0
-        K = _KktLayout(nlp).matrix(w, h_diag, jac, delta_c)
-
-        W = sp.csr_matrix((w, (nlp.hess_rows, nlp.hess_cols)), shape=(nlp.nz, nlp.nz))
-        corner = -delta_c * sp.identity(J.shape[0]) if delta_c else None
-        ref = sp.bmat([[(W + sp.diags(h_diag)).tocsc(), J.T], [J, corner]], format="csc")
-        ref.sum_duplicates()
-        assert K.has_canonical_format
-        assert np.array_equal(K.indptr, ref.indptr)
-        assert np.array_equal(K.indices, ref.indices)
-        assert np.array_equal(K.data, ref.data)
-
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_transpose_product_equals_scipy(self, strategy, params, state):
         # J.T @ y from the values and the pattern sums in scipy's order, bit for bit
@@ -316,6 +300,123 @@ class TestSparsityLayout:
         jac = nlp.at_z0[1]
         y = np.random.default_rng(6).normal(size=nlp.m) * np.logspace(-6, 6, nlp.m)
         assert np.array_equal(nlp.jac_t_dot(jac, y), self.assembled(nlp, jac).T @ y)
+
+
+class TestSchurKkt:
+    """The Newton system solved through the banded Schur complement, against dense linear algebra."""
+
+    @staticmethod
+    def system(nlp, seed):
+        """Random positive definite curvature blocks, a barrier diagonal
+        spread over eight decades, and the dense H and J they make with the
+        start's Jacobian."""
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=nlp.blk_kept.shape)
+        w = np.where(nlp.blk_kept, R @ R.transpose(0, 2, 1), 0.0)
+        w[1::2] *= np.eye(w.shape[-1])  # diagonal curvature on some blocks
+        h = 10.0 ** rng.uniform(-4.0, 4.0, nlp.nz)
+        jac = nlp.at_z0[1]
+        J = np.zeros((nlp.m, nlp.nz))
+        J[nlp.jac_rows, nlp.jac_cols] = jac
+        return w, h, jac, dense_blocks(nlp, w) + np.diag(h), J
+
+    @staticmethod
+    def kkt_matrix(H, J, delta_c):
+        return np.block([[H, J.T], [J, -delta_c * np.eye(len(J))]])
+
+    @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_band_equals_dense_schur_complement(self, strategy, delta_c, params, state):
+        prob = commitment_problem(strategy, state, params)
+        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
+        w, h, jac, H, J = self.system(nlp, 5)
+        kkt = _SchurKkt(nlp)
+        band = kkt.band(np.linalg.inv(kkt.blocks(w, h)), 1.0 / h, jac, delta_c)
+        S = (J @ np.linalg.solve(H, J.T) + delta_c * np.eye(nlp.m))[np.ix_(kkt.order, kkt.order)]
+        # the rows in their order give a band no wider than a stage's rows and
+        # the next's; nothing of S lies outside it
+        assert band.shape == (kkt.bw + 1, nlp.m) and kkt.bw <= 16
+        got = np.zeros_like(S)
+        for d in range(kkt.bw + 1):
+            got[np.arange(d, nlp.m), np.arange(nlp.m - d)] = band[d, : nlp.m - d]
+        assert np.allclose(got, np.tril(S), rtol=1e-12, atol=1e-12 * np.max(np.abs(S)))
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_refined_solve_matches_dense_kkt(self, strategy, params, state):
+        prob = commitment_problem(strategy, state, params)
+        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
+        w, h, jac, H, J = self.system(nlp, 7)
+        K = self.kkt_matrix(H, J, 0.0)
+        rhs = np.random.default_rng(8).normal(size=len(K))
+        step = _SchurKkt(nlp).factor(w, h, jac, 0.0)(rhs)
+        assert np.linalg.norm(K @ step - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        ref = np.linalg.solve(K, rhs)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("twin", [[1.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+    def test_duplicated_row_escalates_delta_c(self, twin, monkeypatch):
+        # twin rows make S singular: the first factorization fails, the next
+        # with delta_c = 1e-10 gives a finite step of the regularized system.
+        # The first twin leaves LAPACK a pivot <= 0, the second a positive
+        # pivot of roundoff, under the floor
+        prob = Quadratic(np.eye(3), np.ones(3), A=[twin, twin, [0.0, 1.0, 1.0]], d=[1.0, 1.0, 2.0])
+        nlp = _ScaledNlp(prob, np.zeros(3), 1.0, _PUSH_COLD)
+        kkt = _SchurKkt(nlp)
+        tried = []
+
+        def factor(w, h, jac, delta_c):
+            tried.append(delta_c)
+            return _SchurKkt.factor(kkt, w, h, jac, delta_c)
+
+        monkeypatch.setattr(kkt, "factor", factor)
+        w, h, jac, H, J = self.system(nlp, 9)
+        rhs = np.random.default_rng(10).normal(size=nlp.nz + nlp.m)
+        step, _, delta_w = _solve_kkt(kkt, w, h, jac, rhs, 0.0)
+        assert tried == [0.0, 1.0e-10]
+        assert delta_w == pytest.approx(1.0e-8 / 3.0)
+        # the multipliers' null direction grows as 1/delta_c: the step solves
+        # the regularized system to a backward error of roundoff
+        K = self.kkt_matrix(H + 1.0e-8 * np.eye(nlp.nz), J, 1.0e-10)
+        assert np.all(np.isfinite(step))
+        scale = np.linalg.norm(K, 2) * np.linalg.norm(step) + np.linalg.norm(rhs)
+        assert np.linalg.norm(K @ step - rhs) <= 1e-12 * scale
+        res = minimize(prob, np.zeros(3), raw_cfg())
+        assert res.ok and res.feasibility <= FEASIBILITY_TOLERANCE
+
+    def test_no_constraint_rows(self):
+        # m = 0: the step is H^-1 rhs and there is no S to factor
+        prob = Quadratic(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]), [1.0, 2.0, 3.0])
+        nlp = _ScaledNlp(prob, np.zeros(3), 1.0, _PUSH_COLD)
+        kkt = _SchurKkt(nlp)
+        assert nlp.m == 0 and kkt.bw == 0 and len(kkt.order) == 0
+        w, h, jac, H, _ = self.system(nlp, 11)
+        rhs = np.random.default_rng(12).normal(size=3)
+        assert np.allclose(kkt.factor(w, h, jac, 0.0)(rhs), np.linalg.solve(H, rhs), rtol=1e-12, atol=0.0)
+
+    def test_rows_that_touch_no_block(self):
+        # min 0.5 x0^2 - 3 x0 + x1 + 2 x2 s.t. x1 + x2 = 1 and 0 <= x1 - x2 <= 5:
+        # the curvature block is x0 alone and no row touches it, so the rows
+        # keep their order
+        class Split(Quadratic):
+            def constraints_and_jacobian(self, x):
+                res, vals, _ = super().constraints_and_jacobian(x)
+                return res, vals, lambda obj_weight, lam: obj_weight * self.Q[None, :1, :1]
+
+            def nonlinear_blocks(self):
+                return np.array([[0]])
+
+        prob = Split(np.diag([1.0, 0.0, 0.0]), [3.0, -1.0, -2.0], lb=[-10.0, 0.0, 0.0], ub=[10.0, 10.0, 10.0],
+                     A=[[0.0, 1.0, 1.0]], d=[1.0], rg=([[0.0, 1.0, -1.0]], [0.0], [5.0]))
+        nlp = _ScaledNlp(prob, np.ones(3), 1.0, _PUSH_COLD)
+        kkt = _SchurKkt(nlp)
+        assert list(kkt.order) == [0, 1]
+        w, h, jac, H, J = self.system(nlp, 13)
+        K = self.kkt_matrix(H, J, 0.0)
+        rhs = np.random.default_rng(14).normal(size=len(K))
+        assert np.allclose(kkt.factor(w, h, jac, 0.0)(rhs), np.linalg.solve(K, rhs), rtol=1e-10, atol=1e-12)
+        res = minimize(prob, np.ones(3), raw_cfg())
+        assert res.ok
+        assert np.max(np.abs(res.x - [3.0, 1.0, 0.0])) < 1e-6
 
 
 class TestCurvature:
@@ -350,7 +451,8 @@ class TestCurvature:
         rng = np.random.default_rng(19)
         y = rng.normal(scale=1e3, size=prob.m_eq + len(prob.rg_lb))
         w = nlp.hessian(curvature, y)
-        W = sp.csr_matrix((w, (nlp.hess_rows, nlp.hess_cols)), shape=(nlp.nz, nlp.nz)).toarray()
+        assert not np.any(w[~nlp.blk_kept])
+        W = dense_blocks(nlp, w)
 
         hx = prob.constraints_and_jacobian(nlp.x_full(nlp.z0))[2](nlp.obj_scale, y * nlp.row_scale)
         pos = {col: i for i, col in enumerate(nlp.free)}
@@ -365,7 +467,7 @@ class TestCurvature:
             got = W[np.ix_(red, red)]
             assert np.allclose(got, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(exact)))), cols
             checked += len(red) ** 2
-        assert checked == len(w)
+        assert checked == np.count_nonzero(nlp.blk_kept)
 
     def test_second_order_correction_keeps_full_steps(self):
         # Powell's example of the Maratos effect: min 2|x|^2 - x1 on
