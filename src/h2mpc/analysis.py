@@ -98,12 +98,12 @@ def most_visited_temperature(temperature_k) -> float:
     return float(temps[np.argmax(inside)])
 
 
-def kde_current_density(temperature_k, current_a, temperature_level: float, bandwidth: float | None = None):
+def kde_current_density(temperature_k, current_a, temperature_level: float):
     """Gaussian-kernel density of operating current density [A/cm2].
 
     Takes a log's temperature [K] and current [A] columns and selects steps
     whose temperature sits within TEMP_MATCH_TOL_K of the requested level.
-    Default bandwidth is Silverman's rule 1.06 * sigma * m^(-1/5); the
+    The bandwidth is Silverman's rule 1.06 * sigma * m^(-1/5); the
     density integrates to one over the line. Kernels are added in sample
     order, one sample at a time per grid point, whatever the block size.
     Returns (grid, density, samples).
@@ -116,11 +116,10 @@ def kde_current_density(temperature_k, current_a, temperature_level: float, band
             f"need at least 2 steps within {TEMP_MATCH_TOL_K} K of "
             f"{temperature_level} K, found {len(samples)}"
         )
-    if bandwidth is None:
-        sigma = float(np.std(samples, ddof=1))
-        bandwidth = 1.06 * sigma * len(samples) ** (-0.2)
-        if bandwidth <= 0.0:
-            bandwidth = _DEGENERATE_BANDWIDTH
+    sigma = float(np.std(samples, ddof=1))
+    bandwidth = 1.06 * sigma * len(samples) ** (-0.2)
+    if bandwidth <= 0.0:
+        bandwidth = _DEGENERATE_BANDWIDTH
     lo = float(np.min(samples)) - 6.0 * bandwidth
     hi = float(np.max(samples)) + 6.0 * bandwidth
     grid = np.linspace(lo, hi, 1024)

@@ -86,7 +86,7 @@ class StackPoint:
     in temperature [K], stack current [A] and membrane thickness [um]; the
     rate does not depend on thickness. ``d2v``, ``d2p`` and ``d2rate`` are
     the Hessians of ``v_tot``, ``p_kw`` and ``rate`` in (T, I, eps), shape
-    ``(..., 3, 3)``. Partials the evaluation's order leaves out are None.
+    ``(..., 3, 3)``. An evaluation without partials leaves them None.
     """
 
     v_act: np.ndarray
@@ -120,7 +120,7 @@ def _hessian3(tt, ti, te, ii, ie):
     return h
 
 
-def stack_point(temperature, current, thickness_um, p: PlantParams, order: int = 1) -> StackPoint:
+def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bool = True) -> StackPoint:
     """Voltage terms, plant power and thinning rate at the configured chamber pressures.
 
     The one plant model: the simulator and the controller problem both
@@ -133,9 +133,8 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, order: int =
     Stacks are in series, so the plant draws V I n plus auxiliaries of
     extra_energy_coeff kWh per kg of hydrogen produced.
 
-    ``order`` 0 gives the values only, 1 adds the first partials and 2 the
-    second partials too. The values come from the same expressions at
-    every order, so they agree to the bit.
+    With ``partials`` the first and second partials come too. The values
+    come from the same expressions either way, so they agree to the bit.
     """
     T, I, eps = temperature, current, thickness_um
     acm2 = p.membrane_area_cm2
@@ -157,7 +156,7 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, order: int =
     aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * p.h2_kmol_hr_per_amp  # kW per A
     p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
     rate = degradation_rate(T, j)
-    if order == 0:
+    if not partials:
         return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate)
 
     act_per_t = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient)
@@ -182,12 +181,6 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, order: int =
     a2 = c2[0] * T + c2[1]
     a1 = c1[0] * T + c1[1]
     drate_dI = (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / acm2
-    first = dict(
-        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
-        drate_dT=drate_dT, drate_dI=drate_dI,
-    )
-    if order == 1:
-        return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate, **first)
 
     # V_act is T ln I times a constant and V_oc is affine in T. V_ohm's T
     # partial is -V_ohm K/T^2, so a T partial of any V_ohm term brings a
@@ -212,8 +205,9 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, order: int =
     rate_II = (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / acm2**2
     d2rate = _hessian3(0.0, rate_TI, 0.0, rate_II, 0.0)
     return StackPoint(
-        v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate, **first,
-        d2v=d2v, d2p=d2p, d2rate=d2rate,
+        v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate,
+        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
+        drate_dT=drate_dT, drate_dI=drate_dI, d2v=d2v, d2p=d2p, d2rate=d2rate,
     )
 
 
@@ -269,8 +263,10 @@ def step(
             f"storage {storage_next:.3f} kmol outside "
             f"[{p.storage_min:.1f}, {p.storage_max:.1f}]"
         )
+    # within the tolerance, the state lands in the box every consumer checks
+    storage_next = min(max(storage_next, p.storage_min), p.storage_max)
 
-    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p, order=0)
+    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p, partials=False)
     membrane_next = state.membrane_um + sp.rate * units.STEP_MINUTES
     if membrane_next <= 0.0:
         raise StepViolation("membrane thickness would reach zero")

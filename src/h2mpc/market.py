@@ -72,12 +72,12 @@ def load_price_csv(path: str | Path, resolution_minutes: int) -> PriceSeries:
     prices = [price for _, price in rows]
     if resolution_minutes == 60:
         prices = [p for p in prices for _ in range(units.STEPS_PER_HOUR)]
-    return PriceSeries(start=start, resolution_minutes=15, prices=tuple(prices))
+    return PriceSeries(start=start, prices=tuple(prices))
 
 
-def power_balance(p_dam_mw: float, p_rtm_mw: float, p_plant_kw: float, dt_hr: float = units.STEP_HOURS) -> float:
+def power_balance(p_dam_mw: float, p_rtm_mw: float, p_plant_kw: float) -> float:
     """Energy-balance residual [MWh] for one step; zero when balanced."""
-    return (p_dam_mw + p_rtm_mw) * dt_hr - p_plant_kw * dt_hr / 1000.0
+    return (p_dam_mw + p_rtm_mw) * units.STEP_HOURS - p_plant_kw * units.STEP_HOURS / 1000.0
 
 
 def settle(
@@ -104,4 +104,4 @@ def settle(
 
 def step_in_day(ts: datetime) -> int:
     """Index of the 15-minute step ``ts`` opens within its day (00:00 is 0)."""
-    return ts.hour * units.STEPS_PER_HOUR + ts.minute // 15
+    return ts.hour * units.STEPS_PER_HOUR + ts.minute // units.STEP_MINUTES

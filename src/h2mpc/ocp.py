@@ -8,8 +8,8 @@ here; the solver module only sees the generic evaluator surface. Each
 constraint block is declared once, in ``OcpProblem._row_blocks``: its
 name, residual and Jacobian terms. Each block's row slice, the residual
 vector and the Jacobian's (row, column) entries, declared in ``build``,
-are all read from that table; variable and row names derive from the
-layout on demand. The problem lays out no sparse matrix: an evaluation
+are all read from that table; variable names derive from the layout on
+demand. The problem lays out no sparse matrix: an evaluation
 returns the Jacobian's values in the declared order, and the solver owns
 every matrix built from them. No evaluation writes to the problem.
 
@@ -31,11 +31,13 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field, fields
+from datetime import datetime, timedelta
 from typing import Sequence
 
 import numpy as np
 
 from . import electrolyzer, units
+from .market import step_in_day
 from .params import ControlAction, PlantParams, PlantState
 from .solver import Multipliers, SolveResult, Start
 
@@ -44,6 +46,14 @@ CO_FIXED_CURRENT_A = 3.526e4
 
 # floor for the membrane-thickness state [um]; replacement is out of scope
 EPS_FLOOR_UM = 1.0
+
+# recourse headroom kept against the storage box on the states that free
+# day-ahead steps reach (0.5% of capacity). A commitment planned against
+# the raw bounds leaves the plant no recourse once the schedule is frozen
+# (with real-time trading disabled, committed power fully determines
+# production), so closed-loop drift of a fraction of a kmol can strand the
+# plant against the storage cap.
+COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
 
 
 class BuildError(ValueError):
@@ -90,7 +100,7 @@ class OcpProblem:
     strategy: StrategyKind
     horizon: int
     params: PlantParams
-    abs_step0: int
+    start_time: datetime  # when the horizon's first step opens: the state's clock
     n: int
     lb: np.ndarray
     ub: np.ndarray
@@ -113,22 +123,10 @@ class OcpProblem:
     def high_fidelity(self) -> bool:
         return self.strategy.high_fidelity
 
-    # names, ``field[t]`` and ``block[i]``, derived from the layout at first use
+    # variable names, ``field[t]``, derived from the layout at first use
     @functools.cached_property
     def names(self) -> list[str]:
         return [f"{f_name}[{t}]" for f_name, cols in self.idx.items() for t in range(len(cols))]
-
-    @functools.cached_property
-    def _row_names(self) -> list[str]:
-        return [f"{name}[{i}]" for name, rows in self._rows.items() for i in range(rows.stop - rows.start)]
-
-    @property
-    def eq_names(self) -> list[str]:
-        return self._row_names[: self.m_eq]
-
-    @property
-    def rg_names(self) -> list[str]:
-        return self._row_names[self.m_eq :]
 
     def _stack_columns(self) -> list[np.ndarray]:
         """Columns of the stack-point inputs: temperature, current and
@@ -147,10 +145,10 @@ class OcpProblem:
         """
         return np.column_stack(self._stack_columns())
 
-    def _stack_point(self, x: np.ndarray, order: int) -> electrolyzer.StackPoint:
+    def _stack_point(self, x: np.ndarray, partials: bool) -> electrolyzer.StackPoint:
         idx = self.idx
         eps_in = x[idx["eps"][:-1]] if self.high_fidelity else np.full(self.horizon, self.eps_const_um)
-        return electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps_in, self.params, order)
+        return electrolyzer.stack_point(x[idx["temp"]], x[idx["current"]], eps_in, self.params, partials)
 
     # evaluation --------------------------------------------------------
     def objective_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -193,12 +191,12 @@ class OcpProblem:
         value, to be compared against rg_lb/rg_ub. Without ``jac`` the plant
         model is evaluated for values only and the terms through it are
         left out, so only the residuals are complete. With ``jac`` it is
-        evaluated to second order, for the curvature.
+        evaluated with its first and second partials, for the curvature.
         """
         self._check_finite(x, "variable")
         idx, p = self.idx, self.params
         if ph is None:
-            ph = self._stack_point(x, order=2 if jac else 0)
+            ph = self._stack_point(x, partials=jac)
         dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
@@ -333,24 +331,17 @@ def build(
     dam_fixed_mw: Sequence[float | None],
     dam_price: Sequence[float],
     rtm_price: Sequence[float],
-    step_in_day0: int,
     p: PlantParams,
-    abs_step0: int = 0,
-    commitment_storage_margin_kmol: float = 0.0,
 ) -> OcpProblem:
-    """Assemble the controller problem for one solve.
+    """Assemble the controller problem for the horizon that opens at
+    ``state.clock``.
 
     ``dam_fixed_mw`` holds the committed day-ahead quantity for each step,
     or None where the hour's quantity is a free decision (the 09:00
     next-day block and the day-0 bootstrap). Free steps of one hour are
-    tied equal, which is what makes the day-ahead decision hourly.
-
-    ``commitment_storage_margin_kmol`` shrinks the storage box on states
-    reached through freely-committed steps. A commitment planned against
-    the raw bounds leaves the plant no recourse once the schedule is
-    frozen (with real-time trading disabled, committed power fully
-    determines production), so closed-loop drift of a fraction of a kmol
-    can strand the plant against the storage cap.
+    tied equal, which is what makes the day-ahead decision hourly, and the
+    states they reach keep COMMITMENT_STORAGE_MARGIN_KMOL off the storage
+    bounds.
     """
     H = len(dam_fixed_mw)
     if H < 1:
@@ -383,13 +374,11 @@ def build(
     for f_name in ("el_plant", "stor_in", "stor_out"):
         lb[idx[f_name]], ub[idx[f_name]] = 0.0, p.h2_gen_max
     lb[idx["stor"]], ub[idx["stor"]] = p.storage_min, p.storage_max
-    if commitment_storage_margin_kmol > 0.0:
-        margin = commitment_storage_margin_kmol
-        for t, v in enumerate(dam_fixed_mw):
-            if v is None:
-                s = idx["stor"][t + 1]
-                lb[s] = p.storage_min + margin
-                ub[s] = p.storage_max - margin
+    for t, v in enumerate(dam_fixed_mw):
+        if v is None:
+            s = idx["stor"][t + 1]
+            lb[s] = p.storage_min + COMMITMENT_STORAGE_MARGIN_KMOL
+            ub[s] = p.storage_max - COMMITMENT_STORAGE_MARGIN_KMOL
     lb[idx["stor"][0]] = ub[idx["stor"][0]] = state.storage_kmol
     if hf:
         lb[idx["eps"]], ub[idx["eps"]] = EPS_FLOOR_UM, p.membrane_thickness_initial
@@ -419,24 +408,17 @@ def build(
         lb[idx["stor_in"]] = ub[idx["stor_in"]] = 0.0
         lb[idx["stor_out"]] = ub[idx["stor_out"]] = 0.0
 
-    # free-DAM hourly ties: group free steps by absolute hour
+    # free-DAM hourly ties: group free steps by hour, counted from the
+    # start day's 00:00
+    hour = [(step_in_day(state.clock) + t) // units.STEPS_PER_HOUR for t in range(H)]
     tie_pairs: list[tuple[int, int]] = []
     block_first: dict[int, int] = {}
     for t, v in enumerate(dam_fixed_mw):
-        if v is not None:
-            continue
-        hour = (step_in_day0 + t) // units.STEPS_PER_HOUR
-        if hour in block_first:
-            tie_pairs.append((t, block_first[hour]))
-        else:
-            block_first[hour] = t
-    for hour, t0 in block_first.items():
-        members = [
-            t for t in range(H)
-            if (step_in_day0 + t) // units.STEPS_PER_HOUR == hour
-        ]
-        if any(dam_fixed_mw[t] is not None for t in members):
-            raise BuildError(f"hour block {hour} mixes committed and free DAM steps")
+        if v is None and block_first.setdefault(hour[t], t) != t:
+            tie_pairs.append((t, block_first[hour[t]]))
+    for t, v in enumerate(dam_fixed_mw):
+        if v is not None and hour[t] in block_first:
+            raise BuildError(f"hour block {hour[t]} mixes committed and free DAM steps")
     tie_arr = np.asarray(tie_pairs, dtype=np.int64).reshape(-1, 2)
 
     rg_lb = np.concatenate([np.full(H, p.voltage_min), np.full(H, 0.1 * p.plant_power_max)])
@@ -446,7 +428,7 @@ def build(
         strategy=strategy,
         horizon=H,
         params=p,
-        abs_step0=abs_step0,
+        start_time=state.clock,
         n=n,
         lb=lb,
         ub=ub,
@@ -495,8 +477,8 @@ def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveR
     ``prev``'s strategy and horizon end, and start no earlier, or the call
     raises ValueError.
     """
-    shift = prob.abs_step0 - prev.abs_step0
-    same_end = prob.abs_step0 + prob.horizon == prev.abs_step0 + prev.horizon
+    shift = (prob.start_time - prev.start_time) // timedelta(minutes=units.STEP_MINUTES)
+    same_end = shift + prob.horizon == prev.horizon
     if prob.strategy is not prev.strategy or not same_end or shift < 0:
         raise ValueError("a warm start needs the previous problem's strategy and horizon end")
     # each variable's and each row's counterpart in prev; tie rows have none

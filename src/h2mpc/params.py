@@ -188,8 +188,8 @@ class PlantState:
             raise ParamError("membrane_um: must lie in (0, membrane_thickness_initial]")
         if not p.storage_min <= self.storage_kmol <= p.storage_max:
             raise ParamError("storage_kmol: outside storage bounds")
-        if self.clock.minute % 15 or self.clock.second or self.clock.microsecond:
-            raise ParamError("clock: must sit on the 15-minute grid")
+        if self.clock.minute % units.STEP_MINUTES or self.clock.second or self.clock.microsecond:
+            raise ParamError(f"clock: must sit on the {units.STEP_MINUTES}-minute grid")
         return self
 
 
@@ -225,10 +225,9 @@ class ControlAction:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Contiguous price strip at fixed resolution. Values in $/MWh."""
+    """Contiguous price strip, one price per 15-minute step. Values in $/MWh."""
 
     start: datetime
-    resolution_minutes: int
     prices: tuple[float, ...]
 
     def __len__(self) -> int:
@@ -236,9 +235,9 @@ class PriceSeries:
 
     def index_of(self, ts: datetime) -> int:
         delta = (ts - self.start).total_seconds() / 60.0
-        idx = delta / self.resolution_minutes
+        idx = delta / units.STEP_MINUTES
         if idx != int(idx):
-            raise ValueError(f"timestamp {ts.isoformat()} is off the {self.resolution_minutes}-minute grid")
+            raise ValueError(f"timestamp {ts.isoformat()} is off the {units.STEP_MINUTES}-minute grid")
         i = int(idx)
         if not 0 <= i < len(self.prices):
             raise ValueError(f"timestamp {ts.isoformat()} outside the loaded price range")

@@ -217,11 +217,6 @@ def _prefix_fsum(values: list[float]) -> list[float]:
     return sums
 
 
-# recourse headroom the commitment solves keep against the storage box
-# (0.5% of capacity); without it a frozen schedule can plan the plant
-# exactly onto the cap and drift strands it there
-COMMITMENT_STORAGE_MARGIN_KMOL = 35.0
-
 # cold solves tried in order until one is optimal: the default, a larger
 # and a smaller initial barrier parameter, then a heavier objective scale
 _RETRY_LADDER = ({}, {"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
@@ -251,7 +246,7 @@ def _fallback_action(
     temp = prev.temperature_k
 
     def power_mw(current: float) -> float:
-        kw = electrolyzer.stack_point(temp, current, state.membrane_um, p, order=0).p_kw
+        kw = electrolyzer.stack_point(temp, current, state.membrane_um, p, partials=False).p_kw
         return float(kw) / 1000.0
 
     if strategy is ocp.StrategyKind.HF_SS:
@@ -350,10 +345,7 @@ def run(
             dam_fixed,
             dam_series.window(ts, horizon),
             rtm_series.window(ts, horizon),
-            step_in_day0=sid,
-            p=p,
-            abs_step0=k,
-            commitment_storage_margin_kmol=COMMITMENT_STORAGE_MARGIN_KMOL,
+            p,
         )
 
         # a warm start only makes sense when this problem is the previous

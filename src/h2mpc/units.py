@@ -12,7 +12,7 @@ duplicated (or silently wrong) elsewhere.
 """
 
 # time grid: the real-time market clears every 15 minutes
-STEP_MINUTES = 15.0
+STEP_MINUTES = 15
 STEP_HOURS = 0.25
 STEPS_PER_HOUR = 4
 STEPS_PER_DAY = 96

@@ -7,6 +7,9 @@ exhaustive grid enumeration for tiny control problems. ``jacobian`` is the
 one exception: it evaluates a problem and assembles the matrix with scipy.
 """
 
+from dataclasses import replace
+from datetime import timedelta
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -15,14 +18,26 @@ from h2mpc import units
 from h2mpc.ocp import build
 
 
+def state_at(state, steps):
+    """``state`` with its clock ``steps`` steps on."""
+    return replace(state, clock=state.clock + timedelta(minutes=steps * units.STEP_MINUTES))
+
+
+def row_names(prob):
+    """Constraint row names, ``block[i]``, in row order: equalities first."""
+    return [f"{name}[{i}]" for name, rows in prob._rows.items() for i in range(rows.stop - rows.start)]
+
+
 def commitment_problem(strategy, state, p, seed=7):
-    """A 09:00 horizon: today's committed steps, then tomorrow's free
-    day-ahead quantities tied hour by hour."""
+    """A 09:00 horizon, from ``state`` moved to 09:00 of its day: today's
+    committed steps, then tomorrow's free day-ahead quantities tied hour by
+    hour."""
     sid = units.COMMITMENT_STEP
     H = units.STEPS_PER_DAY - sid + units.STEPS_PER_DAY
     dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
     rng = np.random.default_rng(seed)
-    return build(strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), sid, p)
+    state = replace(state, clock=state.clock.replace(hour=9, minute=0))
+    return build(strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), p)
 
 
 def jacobian(prob, x):

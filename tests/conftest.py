@@ -23,7 +23,7 @@ def state(params) -> PlantState:
 
 
 def flat_series(start: datetime, n_steps: int, price: float) -> PriceSeries:
-    return PriceSeries(start=start, resolution_minutes=15, prices=tuple([price] * n_steps))
+    return PriceSeries(start=start, prices=tuple([price] * n_steps))
 
 
 @pytest.fixture(scope="session")

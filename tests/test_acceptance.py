@@ -89,7 +89,7 @@ class TestCriterion3Derivatives:
         dam_price = rng.uniform(15.0, 60.0, H)
         rtm_price = rng.uniform(-10.0, 250.0, H)
         prob = build(
-            StrategyKind.HF_MS, week_state, [60.0] * H, dam_price, rtm_price, 0, params
+            StrategyKind.HF_MS, week_state, [60.0] * H, dam_price, rtm_price, params
         )
         worst_grad = 0.0
         worst_jac = 0.0
@@ -130,7 +130,7 @@ class TestCriterion4BruteForce:
         dam_price = np.array([30.0, 30.0])
         rtm_price = np.array([28.0, 33.0])
         prob = build(
-            StrategyKind.HF_MS, week_state, [60.0, 60.0], dam_price, rtm_price, 0, params
+            StrategyKind.HF_MS, week_state, [60.0, 60.0], dam_price, rtm_price, params
         )
         best_obj, best_controls, cells = brute_force_h2(prob, params)
         assert np.isfinite(best_obj)
@@ -199,8 +199,8 @@ class TestCriterion7Arbitrage:
         rtm_vals = [25.0] * 192
         for k in range(40, 44):
             rtm_vals[k] = 500.0
-        dam = PriceSeries(datetime(2022, 1, 3), 15, tuple([25.0] * 192))
-        rtm = PriceSeries(datetime(2022, 1, 3), 15, tuple(rtm_vals))
+        dam = PriceSeries(datetime(2022, 1, 3), tuple([25.0] * 192))
+        rtm = PriceSeries(datetime(2022, 1, 3), tuple(rtm_vals))
         log = rollout.run(StrategyKind.HF_MS, state, dam, rtm, start, start, params)
         spike_rtm = [log.actions[k].p_rtm_mw for k in range(40, 44)]
         assert min(spike_rtm) < 0.0
@@ -324,7 +324,7 @@ class TestWarmStartGuard:
                     dam_fixed.append(com.mw_at_step(ts_t.hour * 4 + ts_t.minute // 15))
             prob = build(
                 StrategyKind.HF_MS, state, dam_fixed,
-                dam.window(ts, horizon), rtm.window(ts, horizon), sid, params,
+                dam.window(ts, horizon), rtm.window(ts, horizon), params,
             )
             res = minimize(prob, cold_start(prob), SolverConfig())
             if res.ok:

@@ -151,7 +151,7 @@ class TestKde:
     def test_two_clusters_symmetric_bimodal(self):
         rows = [(343.15, 30000.0, 1, 1, 0.1)] * 12 + [(343.15, 50000.0, 1, 1, 0.1)] * 12
         temps, currents, _ = synthetic_log(rows)
-        grid, dens, _ = analysis.kde_current_density(temps, currents, 343.15, bandwidth=0.03)
+        grid, dens, _ = analysis.kde_current_density(temps, currents, 343.15)
         integral = np.trapezoid(dens, grid)
         assert integral == pytest.approx(1.0, abs=1e-6)
         center = 0.5 * (30000.0 + 50000.0) / 50000.0
@@ -183,11 +183,12 @@ class TestKde:
         n = 2 * analysis._KDE_BLOCK + 37
         currents = np.random.default_rng(3).uniform(30000.0, 60000.0, n)
         temps = np.full(n, 343.15)
-        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15, bandwidth=0.03)
+        grid, dens, samples = analysis.kde_current_density(temps, currents, 343.15)
+        bw = 1.06 * float(np.std(samples, ddof=1)) * n ** (-0.2)  # Silverman's rule
         loop = np.zeros_like(grid)
         for s in samples:
-            loop += np.exp(-0.5 * ((grid - s) / 0.03) ** 2)
-        loop *= 1.0 / (n * 0.03 * math.sqrt(2.0 * math.pi))
+            loop += np.exp(-0.5 * ((grid - s) / bw) ** 2)
+        loop *= 1.0 / (n * bw * math.sqrt(2.0 * math.pi))
         assert np.array_equal(dens, loop)
 
     def test_temperature_matching_tolerance(self):

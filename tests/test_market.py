@@ -1,6 +1,6 @@
 import csv
 import math
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ class TestLoadPriceCsv:
         write_prices(path, hourly_rows())
         series = load_price_csv(path, resolution_minutes=60)
         assert len(series) == 96
-        assert series.resolution_minutes == 15
+        assert series.index_of(series.start + timedelta(minutes=15)) == 1  # a 15-minute series
         # each hourly price repeated 4x
         assert series.prices[0:4] == (20.0,) * 4
         assert series.prices[92:96] == (43.0,) * 4
@@ -156,6 +156,6 @@ class TestSettle:
 )
 def test_step_in_day(hour, minute, step, to_midnight):
     sid = step_in_day(datetime(2022, 1, 3, hour, minute))
-    assert sid == step
+    assert sid == step and type(sid) is int
     # the steps left in the day, counting this one, size a same-day horizon
     assert units.STEPS_PER_DAY - sid == to_midnight

@@ -1,7 +1,9 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
-from _oracles import commitment_problem, jacobian
+from _oracles import commitment_problem, jacobian, row_names, state_at
 from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import BuildError, StrategyKind, build, cold_start, warm_start_from
@@ -9,13 +11,13 @@ from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import Multipliers, SolverConfig, Start, minimize
 
 
-def make_problem(strategy, state, p, H=6, dam_fixed=None, seed=0, step0=0):
+def make_problem(strategy, state, p, H=6, dam_fixed=None, seed=0):
     rng = np.random.default_rng(seed)
     dam_price = rng.uniform(15.0, 60.0, H)
     rtm_price = rng.uniform(-10.0, 150.0, H)
     if dam_fixed is None:
         dam_fixed = [55.0] * H
-    return build(strategy, state, dam_fixed, dam_price, rtm_price, step0, p)
+    return build(strategy, state, dam_fixed, dam_price, rtm_price, p)
 
 
 def euler_consistent_point(prob, rng):
@@ -76,14 +78,12 @@ class TestBuildStructure:
         assert prob.n == 7 + 2 * 2
         free = int(np.sum(prob.ub - prob.lb > 0.0))
         assert free == 7 + 2 - 1  # committed day-ahead quantity is pinned too
-        names = prob.eq_names
-        assert sum(n.startswith("thickness_dyn") for n in names) == 1
-        assert sum(n.startswith("storage_dyn") for n in names) == 1
-        assert sum(n.startswith("power_balance") for n in names) == 1
-        assert sum(n.startswith("setpoint") for n in names) == 1
-        assert sum(n.startswith("mass_split") for n in names) == 1
+        assert {name: rows.stop - rows.start for name, rows in prob._rows.items()} == {
+            "mass_split": 1, "setpoint": 1, "power_balance": 1, "storage_dyn": 1,
+            "thickness_dyn": 1, "dam_tie": 0, "voltage": 1, "plant_power": 1,
+        }
         assert prob.m_eq == 5
-        assert len(prob.rg_names) == len(prob.rg_lb) == 2
+        assert len(prob.rg_lb) == 2
 
     def test_hf_ss_pins_every_rtm_variable(self, params, state):
         prob = make_problem(StrategyKind.HF_SS, state, params, H=8)
@@ -98,30 +98,33 @@ class TestBuildStructure:
             i = prob.idx[f]
             assert np.all(prob.lb[i] == 0.0) and np.all(prob.ub[i] == 0.0)
         # no hard setpoint equality; direct supply tracks generation instead
-        assert not any(n.startswith("setpoint") for n in prob.eq_names)
-        assert any(n.startswith("mass_split") for n in prob.eq_names)
+        assert "setpoint" not in prob._rows
+        assert "mass_split" in prob._rows
 
     def test_lf_has_no_thickness_state(self, params, state):
         prob = make_problem(StrategyKind.LF_MS, state, params, H=8)
         assert "eps" not in prob.idx
-        assert not any(n.startswith("thickness_dyn") for n in prob.eq_names)
+        assert "thickness_dyn" not in prob._rows
         assert prob.eps_const_um == state.membrane_um
 
     def test_free_dam_hour_ties(self, params, state):
-        prob = build(
-            StrategyKind.HF_MS, state, [None] * 8,
-            np.full(8, 25.0), np.full(8, 25.0), 0, params,
-        )
+        prob = build(StrategyKind.HF_MS, state, [None] * 8, np.full(8, 25.0), np.full(8, 25.0), params)
         # two hour blocks of four steps each: three ties per block
         assert len(prob.tie_pairs) == 6
-        assert sum(n.startswith("dam_tie") for n in prob.eq_names) == 6
+        assert prob._rows["dam_tie"].stop - prob._rows["dam_tie"].start == 6
+
+    def test_free_dam_hours_follow_the_state_clock(self, params, state):
+        # from 00:15, steps 0-2 close the first hour and steps 3-6 fill the next
+        prob = build(StrategyKind.HF_MS, state_at(state, 1), [None] * 7, np.full(7, 25.0), np.full(7, 25.0), params)
+        assert prob.start_time == state.clock + timedelta(minutes=15)
+        assert prob.tie_pairs.tolist() == [[1, 0], [2, 0], [4, 3], [5, 3], [6, 3]]
 
     def test_mixed_hour_block_rejected(self, params, state):
         with pytest.raises(BuildError, match="mixes"):
-            build(
-                StrategyKind.HF_MS, state, [None, 40.0, None, None],
-                np.full(4, 25.0), np.full(4, 25.0), 0, params,
-            )
+            build(StrategyKind.HF_MS, state, [None, 40.0, None, None], np.full(4, 25.0), np.full(4, 25.0), params)
+        # the same steps from 00:15 split into two hours, the first all free
+        build(StrategyKind.HF_MS, state_at(state, 1), [None, None, None, 40.0],
+              np.full(4, 25.0), np.full(4, 25.0), params)
 
     def test_committed_dam_below_floor_with_rtm_disabled(self, params, state):
         with pytest.raises(BuildError, match="floor"):
@@ -134,14 +137,13 @@ class TestBuildStructure:
             make_problem(StrategyKind.HF_MS, state, params, H=4, dam_fixed=[150.0] * 4)
 
     def test_commitment_storage_margin(self, params, state):
-        prob = build(
-            StrategyKind.HF_MS, state, [None] * 4,
-            np.full(4, 25.0), np.full(4, 25.0), 0, params,
-            commitment_storage_margin_kmol=35.0,
-        )
+        # only the states free day-ahead steps reach keep the margin
+        prob = build(StrategyKind.HF_MS, state, [55.0] * 4 + [None] * 4, np.full(8, 25.0), np.full(8, 25.0), params)
         s = prob.idx["stor"]
-        assert prob.ub[s[1]] == params.storage_max - 35.0
-        assert prob.lb[s[1]] == params.storage_min + 35.0
+        assert np.all(prob.ub[s[1:5]] == params.storage_max)
+        assert np.all(prob.lb[s[1:5]] == params.storage_min)
+        assert np.all(prob.ub[s[5:]] == params.storage_max - 35.0)
+        assert np.all(prob.lb[s[5:]] == params.storage_min + 35.0)
         assert prob.ub[s[0]] == state.storage_kmol  # pinned start unaffected
 
     def test_simulator_mode_has_zero_dof(self, params, state):
@@ -154,9 +156,7 @@ class TestBuildStructure:
         free_states = int(np.sum(prob.ub - prob.lb > 0.0)) - int(
             np.sum(prob.ub[controls] - prob.lb[controls] > 0.0)
         )
-        dynamics = sum(
-            n.startswith(("storage_dyn", "thickness_dyn")) for n in prob.eq_names
-        )
+        dynamics = sum(prob._rows[name].stop - prob._rows[name].start for name in ("storage_dyn", "thickness_dyn"))
         assert free_states == dynamics == 2 * prob.horizon
 
 
@@ -218,7 +218,7 @@ class TestEvaluators:
         rng = np.random.default_rng(9)
         x = euler_consistent_point(prob, rng)
         _, jac = jacobian(prob, x)
-        for row, name in enumerate(prob.eq_names):
+        for row, name in enumerate(row_names(prob)[: prob.m_eq]):
             if not name.startswith(("storage_dyn", "thickness_dyn")):
                 continue
             t = int(name.split("[")[1].rstrip("]"))
@@ -296,10 +296,10 @@ class TestRowTable:
     def test_step_rows_touch_exactly_their_step(self, strategy, params, state):
         prob = commitment_problem(strategy, state, params)
         _, jac = jacobian(prob, cold_start(prob))
-        row_names = prob.eq_names + prob.rg_names
-        assert len(row_names) == jac.shape[0]
+        names = row_names(prob)
+        assert len(names) == jac.shape[0]
         checked = 0
-        for row, name in enumerate(row_names):
+        for row, name in enumerate(names):
             if not name.startswith(("power_balance[", "thickness_dyn[", "voltage[")):
                 continue
             cols = jac.indices[jac.indptr[row] : jac.indptr[row + 1]]
@@ -317,7 +317,7 @@ class TestRowTable:
         _, v1, _ = prob.constraints_and_jacobian(x1)
         assert len(v0) == len(v1) == len(prob.jac_rows) == len(prob.jac_cols)
         assert not np.array_equal(v0, v1)
-        assert jacobian(prob, x0)[1].shape == (prob.m_eq + len(prob.rg_names), prob.n)
+        assert jacobian(prob, x0)[1].shape == (prob.m_eq + len(prob.rg_lb), prob.n)
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     @pytest.mark.parametrize("shape", ["bootstrap", "09:00", "09:15"])
@@ -332,7 +332,7 @@ class TestRowTable:
         else:
             sid = 0 if shape == "bootstrap" else units.COMMITMENT_STEP + 1
             H = units.STEPS_PER_DAY - sid
-            prob = make_problem(strategy, state, params, H=H, step0=sid,
+            prob = make_problem(strategy, state_at(state, sid), params, H=H,
                                 dam_fixed=[None] * H if shape == "bootstrap" else None)
         assert calls == []
         blocks, _ = prob._row_blocks(0.5 * (prob.lb + prob.ub))
@@ -354,20 +354,20 @@ class TestRowTable:
         prob = commitment_problem(strategy, state, params)
         rows, cols = prob.jac_rows, prob.jac_cols
         assert len(np.unique(rows * prob.n + cols)) == len(rows)
-        assert np.all((rows >= 0) & (rows < prob.m_eq + len(prob.rg_names)))
+        assert np.all((rows >= 0) & (rows < prob.m_eq + len(prob.rg_lb)))
         assert np.all((cols >= 0) & (cols < prob.n))
-        row_names = prob.eq_names + prob.rg_names
+        names = row_names(prob)
 
         def split(name):
             kind, at = name.rstrip("]").split("[")
             return kind, int(at)
 
         for r, c in zip(rows, cols):
-            (block, i), (var, t) = split(row_names[r]), split(prob.names[c])
+            (block, i), (var, t) = split(names[r]), split(prob.names[c])
             if block == "dam_tie":
-                assert var == "p_dam" and t in prob.tie_pairs[i], (row_names[r], prob.names[c])
+                assert var == "p_dam" and t in prob.tie_pairs[i], (names[r], prob.names[c])
             else:
-                assert t == i or (var in ("stor", "eps") and t == i + 1), (row_names[r], prob.names[c])
+                assert t == i or (var in ("stor", "eps") and t == i + 1), (names[r], prob.names[c])
 
 
 class TestHessianBlocks:
@@ -378,7 +378,7 @@ class TestHessianBlocks:
         prob = commitment_problem(strategy, state, params)
         rng = np.random.default_rng(21)
         x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
-        lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
+        lam = rng.normal(size=prob.m_eq + len(prob.rg_lb))
         curvature = prob.constraints_and_jacobian(x)[2]
         hess = curvature(1.0, lam)
         cols = prob.nonlinear_blocks()
@@ -406,7 +406,7 @@ class TestHessianBlocks:
         prob = commitment_problem(strategy, state, params)
         rng = np.random.default_rng(22)
         x = prob.lb + rng.uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
-        lam = rng.normal(size=prob.m_eq + len(prob.rg_names))
+        lam = rng.normal(size=prob.m_eq + len(prob.rg_lb))
         curvature = prob.constraints_and_jacobian(x)[2]
         x_moved = x.copy()
         x_moved[prob.nonlinear_blocks()[0, 0]] *= 1.0 + 1e-3
@@ -428,8 +428,8 @@ class TestFeasibleSetInclusion:
         dam_price = rng.uniform(15.0, 60.0, H)
         rtm_price = rng.uniform(-10.0, 150.0, H)
         fixed = [40.0] * H
-        ss = build(StrategyKind.HF_SS, state, fixed, dam_price, rtm_price, 0, params)
-        ms = build(StrategyKind.HF_MS, state, fixed, dam_price, rtm_price, 0, params)
+        ss = build(StrategyKind.HF_SS, state, fixed, dam_price, rtm_price, params)
+        ms = build(StrategyKind.HF_MS, state, fixed, dam_price, rtm_price, params)
         cfg = SolverConfig()
         res_ss = minimize(ss, cold_start(ss), cfg)
         assert res_ss.ok
@@ -484,13 +484,10 @@ class TestStarts:
 
     def test_warm_start_takes_the_previous_tail(self, params, state):
         # the closed loop's warm start: one step on, one step shorter
-        a = make_problem(StrategyKind.HF_MS, state, params, H=6, step0=0)
+        a = make_problem(StrategyKind.HF_MS, state, params, H=6)
         rng = np.random.default_rng(13)
         xa = euler_consistent_point(a, rng)
-        b = build(
-            StrategyKind.HF_MS, state, [55.0] * 5,
-            np.full(5, 30.0), np.full(5, 40.0), 1, params, abs_step0=1,
-        )
+        b = build(StrategyKind.HF_MS, state_at(state, 1), [55.0] * 5, np.full(5, 30.0), np.full(5, 40.0), params)
         assert warm_start_from(b, a, Start(xa)).multipliers is None
         mult = self.random_multipliers(a, rng)
         start = warm_start_from(b, a, Start(xa, mult))
@@ -505,24 +502,17 @@ class TestStarts:
         assert len(a.tie_pairs) == 6
         rng = np.random.default_rng(14)
         xa, mult = cold_start(a), self.random_multipliers(a, rng)
-        b = build(
-            StrategyKind.HF_MS, state, [55.0] * 7, np.full(7, 30.0), np.full(7, 40.0), 1, params,
-            abs_step0=1,
-        )
+        b = build(StrategyKind.HF_MS, state_at(state, 1), [55.0] * 7, np.full(7, 30.0), np.full(7, 40.0), params)
         assert len(b.tie_pairs) == 0
         self.assert_tails(b, a, warm_start_from(b, a, Start(xa, mult)), xa, mult)
         # a horizon that keeps free hours starts its tie rows at zero
-        free = build(
-            StrategyKind.HF_MS, state, [None] * 7, np.full(7, 30.0), np.full(7, 40.0), 1, params,
-            abs_step0=1,
-        )
+        free = build(StrategyKind.HF_MS, state_at(state, 1), [None] * 7, np.full(7, 30.0), np.full(7, 40.0), params)
         assert len(free.tie_pairs) == 5
         self.assert_tails(free, a, warm_start_from(free, a, Start(xa, mult)), xa, mult)
 
     def test_warm_start_needs_the_strategy_and_the_horizon_end(self, params, state):
-        def problem(strategy, H, abs_step0):
-            return build(strategy, state, [55.0] * H, np.full(H, 30.0), np.full(H, 40.0), abs_step0, params,
-                         abs_step0=abs_step0)
+        def problem(strategy, H, step):
+            return build(strategy, state_at(state, step), [55.0] * H, np.full(H, 30.0), np.full(H, 40.0), params)
 
         a = problem(StrategyKind.HF_MS, 6, 0)
         for prob in (

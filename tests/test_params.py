@@ -106,7 +106,7 @@ def test_control_action_validation(params):
 
 
 def test_price_series_indexing():
-    s = PriceSeries(datetime(2022, 1, 3), 15, tuple(float(i) for i in range(96)))
+    s = PriceSeries(datetime(2022, 1, 3), tuple(float(i) for i in range(96)))
     assert s.index_of(datetime(2022, 1, 3, 9, 0)) == 36
     assert s.window(datetime(2022, 1, 3, 23, 45), 1) == (95.0,)
     with pytest.raises(ValueError, match="off the 15-minute grid"):

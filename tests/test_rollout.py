@@ -16,7 +16,7 @@ START = date(2022, 1, 3)
 
 
 def series(values):
-    return PriceSeries(datetime(2022, 1, 3), 15, tuple(float(v) for v in values))
+    return PriceSeries(datetime(2022, 1, 3), tuple(float(v) for v in values))
 
 
 def flat_two_days(price):
@@ -182,7 +182,7 @@ def fail_solves_at(monkeypatch, abs_step, failure):
 
     def solve(prob, init, cfg):
         sol = real_solve(prob, init, cfg)
-        if prob.abs_step0 != abs_step:
+        if prob.start_time != datetime(2022, 1, 3) + abs_step * timedelta(minutes=units.STEP_MINUTES):
             return sol
         attempts.append((cfg, init))
         return dataclasses.replace(sol, **failure)

@@ -269,7 +269,7 @@ class TestSparsityLayout:
         else:
             rng = np.random.default_rng(3)
             prices = rng.uniform(15.0, 60.0, 12), rng.uniform(-10.0, 150.0, 12)
-            prob = build(strategy, state, [55.0] * 12, *prices, 0, params)
+            prob = build(strategy, state, [55.0] * 12, *prices, params)
         x0 = cold_start(prob)
         nlp = _ScaledNlp(prob, x0, 1.0e-4, _PUSH_COLD)
         # the row scaling comes from the Jacobian at the pushed start
@@ -495,7 +495,7 @@ def _electrolyzer_problem(params, state, H, seed):
     rng = np.random.default_rng(seed)
     dam_price = rng.uniform(15.0, 60.0, H)
     rtm_price = rng.uniform(-10.0, 150.0, H)
-    return build(StrategyKind.HF_MS, state, [55.0] * H, dam_price, rtm_price, 0, params)
+    return build(StrategyKind.HF_MS, state, [55.0] * H, dam_price, rtm_price, params)
 
 
 class TestBruteForceOracle:
@@ -576,7 +576,7 @@ class TestBruteForceOracle:
         dam_price = np.array([30.0, 30.0])
         rtm_price = np.array([28.0, 33.0])
         prob = build(
-            StrategyKind.HF_MS, state, [60.0, 60.0], dam_price, rtm_price, 0, params
+            StrategyKind.HF_MS, state, [60.0, 60.0], dam_price, rtm_price, params
         )
         best_obj, best_controls, cells = self.brute_force(prob, params)
         assert np.isfinite(best_obj)
