@@ -20,7 +20,7 @@ import numpy as np
 
 from . import units
 from .market import power_balance
-from .params import ControlAction, PlantParams, PlantState
+from .params import FARADAY, GAS_CONSTANT, ControlAction, PlantParams, PlantState
 
 # reversible cell potential E_rev(T) = 1.299 - 0.9e-3 (T - 298) [V]
 E_REV_298 = 1.299
@@ -48,7 +48,7 @@ def h2_generation_rate(current: float, p: PlantParams):
     """Cathode H2 generation [mol/s] for stack current [A]: n*I*eta/(2F)."""
     if np.any(np.asarray(current) < 0.0):
         raise ValueError("current must be nonnegative")
-    return p.n_stacks * current * p.faraday_efficiency / (2.0 * p.faraday_constant)
+    return p.n_stacks * current * p.faraday_efficiency / (2.0 * FARADAY)
 
 
 def reversible_potential(temperature):
@@ -140,7 +140,7 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     acm2 = p.membrane_area_cm2
     j = I / acm2
     i0 = p.exchange_current_density * acm2
-    rt_2f = p.gas_constant * T / (2.0 * p.faraday_constant)
+    rt_2f = GAS_CONSTANT * T / (2.0 * FARADAY)
 
     log_arg = np.log(I / i0)
     v_act = rt_2f / p.charge_coefficient * log_arg
@@ -159,10 +159,10 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     if not partials:
         return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate)
 
-    act_per_t = p.gas_constant / (2.0 * p.faraday_constant * p.charge_coefficient)
+    act_per_t = GAS_CONSTANT / (2.0 * FARADAY * p.charge_coefficient)
     dva_dT = act_per_t * log_arg
     dva_dI = rt_2f / p.charge_coefficient / I
-    dvo_dT = p.gas_constant / (2.0 * p.faraday_constant) * nernst_log - E_REV_SLOPE
+    dvo_dT = GAS_CONSTANT / (2.0 * FARADAY) * nernst_log - E_REV_SLOPE
     dvh_dI = eps_cm / (acm2 * beta)
     dvh_deps = I * units.um_to_cm(1.0) / (acm2 * beta)
     dvh_dT = -v_ohm * CONDUCTIVITY_ACTIVATION_K / T**2

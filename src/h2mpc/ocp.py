@@ -1,7 +1,8 @@
 """Finite-horizon optimal-control problem for one controller solve.
 
-Simultaneous (full discretization) transcription: per-step controls plus
-state variables, dynamics as equality constraints. Variables, bounds,
+Simultaneous (full discretization) transcription: per-step controls (the
+day-ahead purchase per hour, as that market clears) plus state variables,
+dynamics as equality constraints. Variables, bounds,
 equality residuals, nonlinear range constraints, objective, exact first
 derivatives and the Lagrangian's second derivatives are all assembled
 here; the solver module only sees the generic evaluator surface. Each
@@ -89,12 +90,15 @@ class StrategyKind(enum.Enum):
 class OcpProblem:
     """One controller problem: evaluators plus layout metadata.
 
-    Variable vector layout (field-major):
-      p_dam[H] | p_rtm[H] | temp[H] | current[H] | el_plant[H] |
+    Variable vector layout (field-major), over the horizon's H steps and
+    the hours they touch:
+      p_dam[hours] | p_rtm[H] | temp[H] | current[H] | el_plant[H] |
       stor_in[H] | stor_out[H] | stor[H+1] | eps[H+1 when high fidelity]
 
-    Fixed parameters (committed day-ahead quantities, strategy fixations,
-    initial states) are encoded as lb == ub.
+    The day-ahead market clears hourly, so ``p_dam`` holds one quantity per
+    hour and step t draws ``p_dam[dam_hour[t]]``. Fixed parameters
+    (committed day-ahead quantities, strategy fixations, initial states)
+    are encoded as lb == ub.
     """
 
     strategy: StrategyKind
@@ -110,7 +114,7 @@ class OcpProblem:
     rtm_price: np.ndarray
     rg_lb: np.ndarray
     rg_ub: np.ndarray
-    tie_pairs: np.ndarray  # (k, 2) free-DAM tie (t, t0) step pairs
+    dam_hour: np.ndarray  # (H,) each step's hour: its entry of p_dam
     # fixed by _fix_layout from the row table
     m_eq: int = 0
     _rows: dict[str, slice] = field(repr=False, default_factory=dict)
@@ -154,11 +158,12 @@ class OcpProblem:
     def objective_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         self._check_finite(x, "variable")
         p = self.params
+        dam = self.idx["p_dam"]
         g = np.zeros(self.n)
-        g[self.idx["p_dam"]] = units.STEP_HOURS * self.dam_price
+        g[dam] = units.STEP_HOURS * np.bincount(self.dam_hour, self.dam_price, len(dam))
         g[self.idx["p_rtm"]] = units.STEP_HOURS * self.rtm_price
         elec = units.STEP_HOURS * (
-            float(self.dam_price @ x[self.idx["p_dam"]])
+            float(self.dam_price @ x[dam[self.dam_hour]])
             + float(self.rtm_price @ x[self.idx["p_rtm"]])
         )
         if self.high_fidelity:
@@ -197,7 +202,7 @@ class OcpProblem:
         idx, p = self.idx, self.params
         if ph is None:
             ph = self._stack_point(x, partials=jac)
-        dam, rtm, el_plant = idx["p_dam"], idx["p_rtm"], idx["el_plant"]
+        dam, rtm, el_plant = idx["p_dam"][self.dam_hour], idx["p_rtm"], idx["el_plant"]
         cur, s_in, s_out, stor = idx["current"], idx["stor_in"], idx["stor_out"], idx["stor"]
         stack = self._stack_columns()
         # partials on the stack-point inputs, in (T, I, eps) order; zip
@@ -233,8 +238,6 @@ class OcpProblem:
                 [(eps[1:], 1.0), (eps[:-1], -1.0)]
                 + [(c, -units.STEP_MINUTES * d) for c, d in zip(stack, drate)],
             ))
-        tied, anchor = dam[self.tie_pairs[:, 0]], dam[self.tie_pairs[:, 1]]
-        blocks.append(("dam_tie", x[tied] - x[anchor], [(tied, 1.0), (anchor, -1.0)]))
         blocks.append(("voltage", ph.v_tot, list(zip(stack, dv))))
         blocks.append(("plant_power", ph.p_kw, list(zip(stack, dp))))
         return blocks, ph
@@ -328,32 +331,36 @@ class OcpProblem:
 def build(
     strategy: StrategyKind,
     state: PlantState,
-    dam_fixed_mw: Sequence[float | None],
+    dam_hourly_mw: Sequence[float | None],
     dam_price: Sequence[float],
     rtm_price: Sequence[float],
     p: PlantParams,
 ) -> OcpProblem:
     """Assemble the controller problem for the horizon that opens at
-    ``state.clock``.
+    ``state.clock`` and runs as many steps as the price windows.
 
-    ``dam_fixed_mw`` holds the committed day-ahead quantity for each step,
-    or None where the hour's quantity is a free decision (the 09:00
-    next-day block and the day-0 bootstrap). Free steps of one hour are
-    tied equal, which is what makes the day-ahead decision hourly, and the
-    states they reach keep COMMITMENT_STORAGE_MARGIN_KMOL off the storage
-    bounds.
+    ``dam_hourly_mw`` holds one entry per hour the horizon touches, the
+    first possibly partial: the committed day-ahead quantity, or None where
+    the hour's quantity is a free decision (the 09:00 next-day block and the
+    day-0 bootstrap). The states free hours' steps reach keep
+    COMMITMENT_STORAGE_MARGIN_KMOL off the storage bounds.
     """
-    H = len(dam_fixed_mw)
+    H = len(dam_price)
     if H < 1:
         raise BuildError("horizon must cover at least one step")
-    if not len(dam_price) == len(rtm_price) == H:
+    if len(rtm_price) != H:
         raise BuildError("price windows must match the horizon length")
     dam_price = np.asarray(dam_price, dtype=float)
     rtm_price = np.asarray(rtm_price, dtype=float)
     state.validate(p)
+    # each step's hour, counted from the one the horizon opens in
+    dam_hour = (step_in_day(state.clock) % units.STEPS_PER_HOUR + np.arange(H)) // units.STEPS_PER_HOUR
+    n_hours = int(dam_hour[-1]) + 1
+    if len(dam_hourly_mw) != n_hours:
+        raise BuildError(f"the horizon touches {n_hours} hours, got {len(dam_hourly_mw)} day-ahead entries")
 
     hf = strategy.high_fidelity
-    sizes = dict.fromkeys(["p_dam", "p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"], H)
+    sizes = {"p_dam": n_hours, **dict.fromkeys(["p_rtm", "temp", "current", "el_plant", "stor_in", "stor_out"], H)}
     sizes["stor"] = H + 1
     if hf:
         sizes["eps"] = H + 1
@@ -374,11 +381,10 @@ def build(
     for f_name in ("el_plant", "stor_in", "stor_out"):
         lb[idx[f_name]], ub[idx[f_name]] = 0.0, p.h2_gen_max
     lb[idx["stor"]], ub[idx["stor"]] = p.storage_min, p.storage_max
-    for t, v in enumerate(dam_fixed_mw):
-        if v is None:
-            s = idx["stor"][t + 1]
-            lb[s] = p.storage_min + COMMITMENT_STORAGE_MARGIN_KMOL
-            ub[s] = p.storage_max - COMMITMENT_STORAGE_MARGIN_KMOL
+    free = np.array([v is None for v in dam_hourly_mw])[dam_hour]
+    reached = idx["stor"][1:][free]
+    lb[reached] = p.storage_min + COMMITMENT_STORAGE_MARGIN_KMOL
+    ub[reached] = p.storage_max - COMMITMENT_STORAGE_MARGIN_KMOL
     lb[idx["stor"][0]] = ub[idx["stor"][0]] = state.storage_kmol
     if hf:
         lb[idx["eps"]], ub[idx["eps"]] = EPS_FLOOR_UM, p.membrane_thickness_initial
@@ -387,15 +393,15 @@ def build(
     # committed day-ahead quantities
     power_floor_mw = 0.1 * pmax_mw
     rtm_disabled = strategy is StrategyKind.HF_SS
-    for t, v in enumerate(dam_fixed_mw):
+    for h, v in enumerate(dam_hourly_mw):
         if v is None:
             continue
         if not 0.0 <= v <= pmax_mw + 1e-9:
-            raise BuildError(f"committed DAM at step {t} is {v} MW, outside [0, {pmax_mw}]")
-        lb[idx["p_dam"][t]] = ub[idx["p_dam"][t]] = float(v)
+            raise BuildError(f"committed DAM in hour {h} is {v} MW, outside [0, {pmax_mw}]")
+        lb[idx["p_dam"][h]] = ub[idx["p_dam"][h]] = float(v)
         if rtm_disabled and v < power_floor_mw - 1e-9:
             raise BuildError(
-                f"committed DAM {v} MW at step {t} is below the {power_floor_mw} MW "
+                f"committed DAM {v} MW in hour {h} is below the {power_floor_mw} MW "
                 "plant-power floor with real-time trading disabled"
             )
 
@@ -407,19 +413,6 @@ def build(
         lb[idx["current"]] = ub[idx["current"]] = CO_FIXED_CURRENT_A
         lb[idx["stor_in"]] = ub[idx["stor_in"]] = 0.0
         lb[idx["stor_out"]] = ub[idx["stor_out"]] = 0.0
-
-    # free-DAM hourly ties: group free steps by hour, counted from the
-    # start day's 00:00
-    hour = [(step_in_day(state.clock) + t) // units.STEPS_PER_HOUR for t in range(H)]
-    tie_pairs: list[tuple[int, int]] = []
-    block_first: dict[int, int] = {}
-    for t, v in enumerate(dam_fixed_mw):
-        if v is None and block_first.setdefault(hour[t], t) != t:
-            tie_pairs.append((t, block_first[hour[t]]))
-    for t, v in enumerate(dam_fixed_mw):
-        if v is not None and hour[t] in block_first:
-            raise BuildError(f"hour block {hour[t]} mixes committed and free DAM steps")
-    tie_arr = np.asarray(tie_pairs, dtype=np.int64).reshape(-1, 2)
 
     rg_lb = np.concatenate([np.full(H, p.voltage_min), np.full(H, 0.1 * p.plant_power_max)])
     rg_ub = np.concatenate([np.full(H, p.voltage_max), np.full(H, p.plant_power_max)])
@@ -438,7 +431,7 @@ def build(
         rtm_price=rtm_price,
         rg_lb=rg_lb,
         rg_ub=rg_ub,
-        tie_pairs=tie_arr,
+        dam_hour=dam_hour,
     )
     prob._fix_layout()
     return prob
@@ -471,9 +464,7 @@ def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveR
     every row block of ``prob`` takes the last entries of its counterpart
     in ``prev``: the plan, and when ``prev_sol`` carries them, the row
     multipliers and the bound multipliers of the variables and of the
-    range slacks. Fixed entries keep their pinned value. The hourly
-    day-ahead tie rows start at zero: they go by hour, not by step, and
-    after a bootstrap solve most have no successor. ``prob`` must have
+    range slacks. Fixed entries keep their pinned value. ``prob`` must have
     ``prev``'s strategy and horizon end, and start no earlier, or the call
     raises ValueError.
     """
@@ -481,12 +472,12 @@ def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveR
     same_end = shift + prob.horizon == prev.horizon
     if prob.strategy is not prev.strategy or not same_end or shift < 0:
         raise ValueError("a warm start needs the previous problem's strategy and horizon end")
-    # each variable's and each row's counterpart in prev; tie rows have none
-    cols = np.concatenate([prev.idx[f_name][shift:] for f_name in prob.idx])
-    rows = np.full(prob.m_eq + len(prob.rg_lb), -1)
-    for name, new in prob._rows.items():
-        if name != "dam_tie":
-            rows[new] = np.arange(prev._rows[name].start + shift, prev._rows[name].stop)
+    # each variable's and each row's counterpart in prev
+    cols = np.concatenate([prev.idx[f_name][-len(new) :] for f_name, new in prob.idx.items()])
+    rows = np.concatenate([
+        np.arange(prev._rows[name].stop - (new.stop - new.start), prev._rows[name].stop)
+        for name, new in prob._rows.items()
+    ])
     x = prev_sol.x[cols]
     fixed = prob.ub - prob.lb <= 0.0
     x[fixed] = prob.lb[fixed]
@@ -495,6 +486,4 @@ def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveR
         return Start(x)
     # the range slacks' bounds follow the variables', one per range row
     bounds = np.concatenate([cols, prev.n - prev.m_eq + rows[prob.m_eq :]])
-    return Start(x, Multipliers(
-        rows=np.where(rows < 0, 0.0, mult.rows[rows]), lower=mult.lower[bounds], upper=mult.upper[bounds]
-    ))
+    return Start(x, Multipliers(rows=mult.rows[rows], lower=mult.lower[bounds], upper=mult.upper[bounds]))

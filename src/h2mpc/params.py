@@ -57,8 +57,6 @@ class PlantParams:
     plant_power_max: float = 110000.0  # kW
     chamber_pressure_h2: float = 1.0  # bar, quasi-steady default
     chamber_pressure_o2: float = 1.0  # bar
-    faraday_constant: float = FARADAY
-    gas_constant: float = GAS_CONSTANT
 
     # derived conveniences -------------------------------------------------
 
@@ -70,7 +68,7 @@ class PlantParams:
     def h2_kmol_hr_per_amp(self) -> float:
         """Generation slope: kmol/hr of H2 per ampere of stack current."""
         return units.mol_s_to_kmol_hr(
-            self.n_stacks * self.faraday_efficiency / (2.0 * self.faraday_constant)
+            self.n_stacks * self.faraday_efficiency / (2.0 * FARADAY)
         )
 
     def current_bounds(self) -> tuple[float, float]:
@@ -111,8 +109,6 @@ _POSITIVE_FIELDS = (
     "plant_power_max",
     "chamber_pressure_h2",
     "chamber_pressure_o2",
-    "faraday_constant",
-    "gas_constant",
 )
 
 _MIN_MAX_PAIRS = (

@@ -222,12 +222,6 @@ def _prefix_fsum(values: list[float]) -> list[float]:
 _RETRY_LADDER = ({}, {"mu0": 1.0}, {"mu0": 1.0e-2}, {"obj_scale": 1.0e-3})
 
 
-def _hourly_dam(prob: ocp.OcpProblem, x, first: int) -> tuple[float, ...]:
-    """A plan's 24 hourly day-ahead quantities for the day that starts at
-    horizon step ``first``."""
-    return tuple(float(x[prob.idx["p_dam"][first + units.STEPS_PER_HOUR * h]]) for h in range(24))
-
-
 def _fallback_action(
     strategy: ocp.StrategyKind,
     prev: ControlAction,
@@ -321,28 +315,21 @@ def run(
         day = ts.date()
         sid = step_in_day(ts)
 
-        bootstrap = sid == 0 and day not in commitments
+        # after the first step, yesterday's 09:00 solve has committed today
+        today = commitments.get(day)
+        bootstrap = today is None
+        freezes = bootstrap or sid == units.COMMITMENT_STEP
+        hourly = (None,) * 24 if bootstrap else today.hourly_mw
+        dam_hourly = list(hourly[sid // units.STEPS_PER_HOUR :])
+        horizon = units.STEPS_PER_DAY - sid
         if sid == units.COMMITMENT_STEP:
-            horizon = (units.STEPS_PER_DAY - sid) + units.STEPS_PER_DAY
-        else:
-            horizon = units.STEPS_PER_DAY - sid
-
-        dam_fixed: list[float | None] = []
-        for t in range(horizon):
-            ts_t = ts + timedelta(minutes=t * units.STEP_MINUTES)
-            day_t = ts_t.date()
-            com = commitments.get(day_t)
-            if com is not None:
-                dam_fixed.append(com.mw_at_step(step_in_day(ts_t)))
-            elif bootstrap or (sid == units.COMMITMENT_STEP and day_t > day):
-                dam_fixed.append(None)
-            else:
-                raise RolloutError(f"no commitment covers {ts_t}; bidding cycle broken")
+            dam_hourly += [None] * 24
+            horizon += units.STEPS_PER_DAY
 
         prob = ocp.build(
             strategy,
             state,
-            dam_fixed,
+            dam_hourly,
             dam_series.window(ts, horizon),
             rtm_series.window(ts, horizon),
             p,
@@ -362,7 +349,7 @@ def run(
                 if sol.ok:
                     break
 
-        if not sol.ok and (bootstrap or sid == units.COMMITMENT_STEP):
+        if not sol.ok and freezes:
             raise RolloutError(
                 f"every solve at {ts} failed ({sol.status}); "
                 "no commitment is frozen from a failed solve"
@@ -371,16 +358,13 @@ def run(
             action = prob.first_action(sol.x)
         else:
             action = _fallback_action(
-                strategy, prev_action, commitments[day].mw_at_step(sid), state, p
+                strategy, prev_action, today.mw_at_step(sid), state, p
             )
 
-        if sid == units.COMMITMENT_STEP:
-            tomorrow = day + timedelta(days=1)
-            # tomorrow 00:00 sits STEPS_PER_DAY - COMMITMENT_STEP steps ahead
-            first = units.STEPS_PER_DAY - units.COMMITMENT_STEP
-            commitments[tomorrow] = DamCommitment(day=tomorrow, hourly_mw=_hourly_dam(prob, sol.x, first))
-        if bootstrap:
-            commitments[day] = DamCommitment(day=day, hourly_mw=_hourly_dam(prob, sol.x, 0))
+        if freezes:
+            # the plan's last 24 hours: today's at the bootstrap, tomorrow's at 09:00
+            frozen = day if bootstrap else day + timedelta(days=1)
+            commitments[frozen] = DamCommitment(day=frozen, hourly_mw=tuple(sol.x[prob.idx["p_dam"][-24:]].tolist()))
 
         try:
             result = electrolyzer.step(state, action, p, setpoint_tol_kmolhr=setpoint_tol)

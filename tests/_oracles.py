@@ -15,12 +15,20 @@ import scipy.sparse as sp
 
 from h2mpc import electrolyzer as el
 from h2mpc import units
+from h2mpc.market import step_in_day
 from h2mpc.ocp import build
 
 
 def state_at(state, steps):
     """``state`` with its clock ``steps`` steps on."""
     return replace(state, clock=state.clock + timedelta(minutes=steps * units.STEP_MINUTES))
+
+
+def hourly(state, H, value):
+    """``value`` once for each hour a horizon of ``H`` steps from
+    ``state.clock`` touches: ``build``'s day-ahead entries."""
+    first = step_in_day(state.clock) % units.STEPS_PER_HOUR
+    return [value] * ((first + H - 1) // units.STEPS_PER_HOUR + 1)
 
 
 def row_names(prob):
@@ -30,14 +38,13 @@ def row_names(prob):
 
 def commitment_problem(strategy, state, p, seed=7):
     """A 09:00 horizon, from ``state`` moved to 09:00 of its day: today's
-    committed steps, then tomorrow's free day-ahead quantities tied hour by
-    hour."""
+    15 committed hours, then tomorrow's 24 free day-ahead hours."""
     sid = units.COMMITMENT_STEP
     H = units.STEPS_PER_DAY - sid + units.STEPS_PER_DAY
-    dam_fixed = [55.0] * (units.STEPS_PER_DAY - sid) + [None] * units.STEPS_PER_DAY
+    dam_hourly = [55.0] * (24 - sid // units.STEPS_PER_HOUR) + [None] * 24
     rng = np.random.default_rng(seed)
     state = replace(state, clock=state.clock.replace(hour=9, minute=0))
-    return build(strategy, state, dam_fixed, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), p)
+    return build(strategy, state, dam_hourly, rng.uniform(15.0, 60.0, H), rng.uniform(-10.0, 150.0, H), p)
 
 
 def jacobian(prob, x):
@@ -89,13 +96,9 @@ def euler_consistent_point(prob, rng):
         eps_for_power = np.full(H, prob.eps_const_um)
 
     p_kw = el.stack_point(x[idx["temp"]], x[idx["current"]], eps_for_power, p).p_kw
-    dam_mask = prob.ub[idx["p_dam"]] - prob.lb[idx["p_dam"]] <= 0.0
-    x[idx["p_dam"]] = np.where(dam_mask, prob.lb[idx["p_dam"]], 55.0)
-    x[idx["p_rtm"]] = p_kw / 1000.0 - x[idx["p_dam"]]
-    rtm_fixed = prob.ub[idx["p_rtm"]] - prob.lb[idx["p_rtm"]] <= 0.0
-    if np.any(rtm_fixed):
-        x[idx["p_rtm"]] = np.where(rtm_fixed, prob.lb[idx["p_rtm"]], x[idx["p_rtm"]])
-        x[idx["p_dam"]] = p_kw / 1000.0 - x[idx["p_rtm"]]
+    x[idx["p_dam"]] = np.where(fixed[idx["p_dam"]], prob.lb[idx["p_dam"]], 55.0)
+    # the real-time purchase closes each step's power balance
+    x[idx["p_rtm"]] = p_kw / 1000.0 - x[idx["p_dam"]][prob.dam_hour]
     return x
 
 
@@ -113,7 +116,7 @@ def brute_force_h2(prob, p, n_pts=10):
     T1, I1, S1, T2, I2, S2 = np.meshgrid(
         t_grid, i_grid, s_grid, t_grid, i_grid, s_grid, indexing="ij"
     )
-    dam = prob.lb[prob.idx["p_dam"]]
+    dam = prob.lb[prob.idx["p_dam"][prob.dam_hour]]  # each step's committed quantity
     eps0 = prob.lb[prob.idx["eps"][0]]
     stor0 = prob.lb[prob.idx["stor"][0]]
 

@@ -17,7 +17,7 @@ from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState, PriceSeries
 from h2mpc.solver import SolverConfig, minimize
 
-from _oracles import brute_force_h2, euler_consistent_point, horner_rate, jacobian
+from _oracles import brute_force_h2, euler_consistent_point, horner_rate, hourly, jacobian
 
 WEEK_START = date(2022, 1, 2)
 WEEK_END = date(2022, 1, 8)
@@ -89,7 +89,7 @@ class TestCriterion3Derivatives:
         dam_price = rng.uniform(15.0, 60.0, H)
         rtm_price = rng.uniform(-10.0, 250.0, H)
         prob = build(
-            StrategyKind.HF_MS, week_state, [60.0] * H, dam_price, rtm_price, params
+            StrategyKind.HF_MS, week_state, hourly(week_state, H, 60.0), dam_price, rtm_price, params
         )
         worst_grad = 0.0
         worst_jac = 0.0
@@ -130,7 +130,7 @@ class TestCriterion4BruteForce:
         dam_price = np.array([30.0, 30.0])
         rtm_price = np.array([28.0, 33.0])
         prob = build(
-            StrategyKind.HF_MS, week_state, [60.0, 60.0], dam_price, rtm_price, params
+            StrategyKind.HF_MS, week_state, [60.0], dam_price, rtm_price, params
         )
         best_obj, best_controls, cells = brute_force_h2(prob, params)
         assert np.isfinite(best_obj)
@@ -242,8 +242,7 @@ class TestCriterion8ClosedLoopInvariants:
             # the frozen hourly block of its day
             for ts, act in zip(log.timestamps, log.actions):
                 com = log.commitments[ts.date()]
-                sid = ts.hour * 4 + ts.minute // 15
-                assert act.p_dam_mw == com.mw_at_step(sid), (name, ts)
+                assert act.p_dam_mw == com.mw_at_step(market.step_in_day(ts)), (name, ts)
         ok(8, "mass closure < 1e-9 kmol, setpoint tight, bounds and "
               "commitments respected, ledgers settle")
 
@@ -311,19 +310,17 @@ class TestWarmStartGuard:
         cold_iters = []
         for k in sample:
             ts = log.timestamps[k]
-            sid = ts.hour * 4 + ts.minute // 15
-            horizon = (96 - sid) + (96 if sid == units.COMMITMENT_STEP else 0)
+            sid = market.step_in_day(ts)
+            days = [ts.date()] + ([ts.date() + timedelta(days=1)] if sid == units.COMMITMENT_STEP else [])
+            horizon = len(days) * units.STEPS_PER_DAY - sid
             state = week_state if k == 0 else log.states[k - 1]
-            dam_fixed = []
-            for t in range(horizon):
-                ts_t = ts + timedelta(minutes=15 * t)
-                com = log.commitments.get(ts_t.date())
-                if com is None:
-                    dam_fixed.append(None)
-                else:
-                    dam_fixed.append(com.mw_at_step(ts_t.hour * 4 + ts_t.minute // 15))
+            # the committed hours from the step's own on, None past the log
+            dam_hourly = [
+                mw for day in days
+                for mw in (log.commitments[day].hourly_mw if day in log.commitments else [None] * 24)
+            ][sid // units.STEPS_PER_HOUR :]
             prob = build(
-                StrategyKind.HF_MS, state, dam_fixed,
+                StrategyKind.HF_MS, state, dam_hourly,
                 dam.window(ts, horizon), rtm.window(ts, horizon), params,
             )
             res = minimize(prob, cold_start(prob), SolverConfig())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import euler_consistent_point
+from _oracles import euler_consistent_point, hourly
 from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.params import ControlAction, ParamError, PlantParams, PlantState, validate_params
@@ -359,7 +359,7 @@ class TestStep:
         assert near.storage_kmol + 0.25 * (gen - 500.0) > params.storage_max
         res = el.step(near, act, params)
         assert res.state.storage_kmol == params.storage_max
-        ocp.build(ocp.StrategyKind.HF_MS, res.state, [55.0] * 4, [30.0] * 4, [30.0] * 4, params)
+        ocp.build(ocp.StrategyKind.HF_MS, res.state, hourly(res.state, 4, 55.0), [30.0] * 4, [30.0] * 4, params)
 
 
 class TestOneModel:
@@ -368,7 +368,7 @@ class TestOneModel:
         # so the applied step's plant power is the controller's to the bit
         rng = np.random.default_rng(7)
         prob = ocp.build(
-            ocp.StrategyKind.HF_MS, state, [55.0] * 4, [30.0] * 4, [30.0] * 4, params
+            ocp.StrategyKind.HF_MS, state, [55.0], [30.0] * 4, [30.0] * 4, params
         )
         row = prob._rows["plant_power"].start
         for _ in range(200):

@@ -3,7 +3,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from _oracles import commitment_problem, jacobian, row_names, state_at
+from _oracles import commitment_problem, hourly, jacobian, row_names, state_at
 from h2mpc import electrolyzer as el
 from h2mpc import ocp, units
 from h2mpc.ocp import BuildError, StrategyKind, build, cold_start, warm_start_from
@@ -11,13 +11,13 @@ from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import Multipliers, SolverConfig, Start, minimize
 
 
-def make_problem(strategy, state, p, H=6, dam_fixed=None, seed=0):
+def make_problem(strategy, state, p, H=6, dam=55.0, seed=0):
+    """``H`` steps from ``state`` with every hour's day-ahead entry ``dam``
+    (None: free)."""
     rng = np.random.default_rng(seed)
     dam_price = rng.uniform(15.0, 60.0, H)
     rtm_price = rng.uniform(-10.0, 150.0, H)
-    if dam_fixed is None:
-        dam_fixed = [55.0] * H
-    return build(strategy, state, dam_fixed, dam_price, rtm_price, p)
+    return build(strategy, state, hourly(state, H, dam), dam_price, rtm_price, p)
 
 
 def euler_consistent_point(prob, rng):
@@ -60,13 +60,10 @@ def euler_consistent_point(prob, rng):
         eps_for_power = np.full(H, prob.eps_const_um)
 
     p_kw = el.stack_point(x[idx["temp"]], x[idx["current"]], eps_for_power, p).p_kw
-    dam_mask = prob.ub[idx["p_dam"]] - prob.lb[idx["p_dam"]] <= 0.0
-    x[idx["p_dam"]] = np.where(dam_mask, prob.lb[idx["p_dam"]], 55.0)
-    if prob.strategy is StrategyKind.HF_SS:
-        x[idx["p_dam"]] = p_kw / 1000.0
-    x[idx["p_rtm"]] = p_kw / 1000.0 - x[idx["p_dam"]]
-    if prob.strategy is StrategyKind.HF_SS:
-        x[idx["p_rtm"]] = 0.0
+    x[idx["p_dam"]] = np.where(fixed[idx["p_dam"]], prob.lb[idx["p_dam"]], 55.0)
+    # the real-time purchase closes each step's power balance, also where
+    # hf-ss pins it to zero: an hour's steps draw different power
+    x[idx["p_rtm"]] = p_kw / 1000.0 - x[idx["p_dam"]][prob.dam_hour]
     return x
 
 
@@ -80,7 +77,7 @@ class TestBuildStructure:
         assert free == 7 + 2 - 1  # committed day-ahead quantity is pinned too
         assert {name: rows.stop - rows.start for name, rows in prob._rows.items()} == {
             "mass_split": 1, "setpoint": 1, "power_balance": 1, "storage_dyn": 1,
-            "thickness_dyn": 1, "dam_tie": 0, "voltage": 1, "plant_power": 1,
+            "thickness_dyn": 1, "voltage": 1, "plant_power": 1,
         }
         assert prob.m_eq == 5
         assert len(prob.rg_lb) == 2
@@ -107,38 +104,44 @@ class TestBuildStructure:
         assert "thickness_dyn" not in prob._rows
         assert prob.eps_const_um == state.membrane_um
 
-    def test_free_dam_hour_ties(self, params, state):
-        prob = build(StrategyKind.HF_MS, state, [None] * 8, np.full(8, 25.0), np.full(8, 25.0), params)
-        # two hour blocks of four steps each: three ties per block
-        assert len(prob.tie_pairs) == 6
-        assert prob._rows["dam_tie"].stop - prob._rows["dam_tie"].start == 6
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_one_day_ahead_variable_per_hour(self, strategy, params, state):
+        # the 09:00 horizon: 15 committed hours of today, 24 free of tomorrow
+        prob = commitment_problem(strategy, state, params)
+        dam = prob.idx["p_dam"]
+        assert len(dam) == 15 + 24
+        assert np.array_equal(prob.dam_hour, np.arange(prob.horizon) // 4)
+        assert np.all(prob.lb[dam[:15]] == 55.0) and np.all(prob.ub[dam[:15]] == 55.0)
+        assert np.all(prob.lb[dam[15:]] == 0.0) and np.all(prob.ub[dam[15:]] == 110.0)
+        # an hour's quantity is bought on each of its steps at that step's price
+        _, g = prob.objective_and_gradient(cold_start(prob))
+        hour_prices = prob.dam_price.reshape(-1, 4).sum(axis=1)
+        assert np.allclose(g[dam], 0.25 * hour_prices, rtol=1e-15, atol=0.0)
 
-    def test_free_dam_hours_follow_the_state_clock(self, params, state):
+    def test_day_ahead_hours_follow_the_state_clock(self, params, state):
         # from 00:15, steps 0-2 close the first hour and steps 3-6 fill the next
-        prob = build(StrategyKind.HF_MS, state_at(state, 1), [None] * 7, np.full(7, 25.0), np.full(7, 25.0), params)
+        prob = build(StrategyKind.HF_MS, state_at(state, 1), [None, 40.0], np.full(7, 25.0), np.full(7, 25.0), params)
         assert prob.start_time == state.clock + timedelta(minutes=15)
-        assert prob.tie_pairs.tolist() == [[1, 0], [2, 0], [4, 3], [5, 3], [6, 3]]
-
-    def test_mixed_hour_block_rejected(self, params, state):
-        with pytest.raises(BuildError, match="mixes"):
-            build(StrategyKind.HF_MS, state, [None, 40.0, None, None], np.full(4, 25.0), np.full(4, 25.0), params)
-        # the same steps from 00:15 split into two hours, the first all free
-        build(StrategyKind.HF_MS, state_at(state, 1), [None, None, None, 40.0],
-              np.full(4, 25.0), np.full(4, 25.0), params)
+        assert prob.dam_hour.tolist() == [0, 0, 0, 1, 1, 1, 1]
+        assert prob.lb[prob.idx["p_dam"]].tolist() == [0.0, 40.0]
+        # one entry per hour the horizon touches, no more and no fewer
+        for entries in ([None], [None, 40.0, 40.0]):
+            with pytest.raises(BuildError, match="touches 2 hours"):
+                build(StrategyKind.HF_MS, state_at(state, 1), entries, np.full(7, 25.0), np.full(7, 25.0), params)
 
     def test_committed_dam_below_floor_with_rtm_disabled(self, params, state):
         with pytest.raises(BuildError, match="floor"):
-            make_problem(StrategyKind.HF_SS, state, params, H=4, dam_fixed=[5.0] * 4)
+            make_problem(StrategyKind.HF_SS, state, params, H=4, dam=5.0)
         # same committed quantities are fine when real-time trading exists
-        make_problem(StrategyKind.HF_MS, state, params, H=4, dam_fixed=[5.0] * 4)
+        make_problem(StrategyKind.HF_MS, state, params, H=4, dam=5.0)
 
     def test_committed_dam_out_of_range_rejected(self, params, state):
         with pytest.raises(BuildError, match="outside"):
-            make_problem(StrategyKind.HF_MS, state, params, H=4, dam_fixed=[150.0] * 4)
+            make_problem(StrategyKind.HF_MS, state, params, H=4, dam=150.0)
 
     def test_commitment_storage_margin(self, params, state):
         # only the states free day-ahead steps reach keep the margin
-        prob = build(StrategyKind.HF_MS, state, [55.0] * 4 + [None] * 4, np.full(8, 25.0), np.full(8, 25.0), params)
+        prob = build(StrategyKind.HF_MS, state, [55.0, None], np.full(8, 25.0), np.full(8, 25.0), params)
         s = prob.idx["stor"]
         assert np.all(prob.ub[s[1:5]] == params.storage_max)
         assert np.all(prob.lb[s[1:5]] == params.storage_min)
@@ -239,12 +242,13 @@ class TestEvaluators:
             assert g[i] == pytest.approx(coeff, rel=1e-12)
 
     def test_electricity_gradient_is_price_times_energy(self, params, state):
-        prob = make_problem(StrategyKind.HF_MS, state, params, H=4, seed=11)
+        # two hours of four steps: an hour's quantity is bought on each
+        prob = make_problem(StrategyKind.HF_MS, state, params, H=8, seed=11)
         rng = np.random.default_rng(11)
         x = euler_consistent_point(prob, rng)
         _, g = prob.objective_and_gradient(x)
         assert np.allclose(g[prob.idx["p_rtm"]], 0.25 * prob.rtm_price)
-        assert np.allclose(g[prob.idx["p_dam"]], 0.25 * prob.dam_price)
+        assert np.allclose(g[prob.idx["p_dam"]], 0.25 * np.array([prob.dam_price[:4].sum(), prob.dam_price[4:].sum()]))
 
     def test_hf_membrane_gradient_through_euler_chain(self, params, state):
         """Reduced single-step sensitivity: dC_mem/dj = -n P_mem rate'(j) dt."""
@@ -287,7 +291,7 @@ class TestRowTable:
         kind, t = name.split("[")[0], int(name.split("[")[1].rstrip("]"))
         stack = [f"temp[{t}]", f"current[{t}]"] + ([f"eps[{t}]"] if prob.high_fidelity else [])
         return {
-            "power_balance": {f"p_dam[{t}]", f"p_rtm[{t}]", *stack},
+            "power_balance": {f"p_dam[{prob.dam_hour[t]}]", f"p_rtm[{t}]", *stack},
             "thickness_dyn": {f"eps[{t + 1}]", f"eps[{t}]", f"temp[{t}]", f"current[{t}]"},
             "voltage": set(stack),
         }[kind]
@@ -333,7 +337,7 @@ class TestRowTable:
             sid = 0 if shape == "bootstrap" else units.COMMITMENT_STEP + 1
             H = units.STEPS_PER_DAY - sid
             prob = make_problem(strategy, state_at(state, sid), params, H=H,
-                                dam_fixed=[None] * H if shape == "bootstrap" else None)
+                                dam=None if shape == "bootstrap" else 55.0)
         assert calls == []
         blocks, _ = prob._row_blocks(0.5 * (prob.lb + prob.ub))
         assert len(calls) == 1
@@ -348,9 +352,8 @@ class TestRowTable:
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_declared_entries_are_unique_and_inside_their_step(self, strategy, params, state):
-        # a row of step t touches step t's variables and the states at the
-        # step's end (t + 1); an hourly tie row touches the two day-ahead
-        # steps it ties
+        # a row of step t touches step t's variables, its hour's day-ahead
+        # quantity and the states at the step's end (t + 1)
         prob = commitment_problem(strategy, state, params)
         rows, cols = prob.jac_rows, prob.jac_cols
         assert len(np.unique(rows * prob.n + cols)) == len(rows)
@@ -364,8 +367,8 @@ class TestRowTable:
 
         for r, c in zip(rows, cols):
             (block, i), (var, t) = split(names[r]), split(prob.names[c])
-            if block == "dam_tie":
-                assert var == "p_dam" and t in prob.tie_pairs[i], (names[r], prob.names[c])
+            if var == "p_dam":
+                assert t == prob.dam_hour[i], (names[r], prob.names[c])
             else:
                 assert t == i or (var in ("stor", "eps") and t == i + 1), (names[r], prob.names[c])
 
@@ -427,7 +430,7 @@ class TestFeasibleSetInclusion:
         H = 8
         dam_price = rng.uniform(15.0, 60.0, H)
         rtm_price = rng.uniform(-10.0, 150.0, H)
-        fixed = [40.0] * H
+        fixed = [40.0] * (H // 4)
         ss = build(StrategyKind.HF_SS, state, fixed, dam_price, rtm_price, params)
         ms = build(StrategyKind.HF_MS, state, fixed, dam_price, rtm_price, params)
         cfg = SolverConfig()
@@ -461,7 +464,7 @@ class TestStarts:
     @staticmethod
     def assert_tails(b, a, start, xa, mult):
         """Each field and row block of ``b`` holds the tail of ``a``'s, fixed
-        entries their pinned value; tie rows hold zero."""
+        entries their pinned value."""
         fixed = b.ub - b.lb <= 0.0
         got = start.multipliers
         for f, cols in b.idx.items():
@@ -470,9 +473,6 @@ class TestStarts:
             assert np.array_equal(got.lower[cols], mult.lower[tail]), f
             assert np.array_equal(got.upper[cols], mult.upper[tail]), f
         for name, rows in b._rows.items():
-            if name == "dam_tie":
-                assert not np.any(got.rows[rows])
-                continue
             old = a._rows[name]
             tail = np.arange(old.stop - (rows.stop - rows.start), old.stop)
             assert np.array_equal(got.rows[rows], mult.rows[tail]), name
@@ -487,7 +487,7 @@ class TestStarts:
         a = make_problem(StrategyKind.HF_MS, state, params, H=6)
         rng = np.random.default_rng(13)
         xa = euler_consistent_point(a, rng)
-        b = build(StrategyKind.HF_MS, state_at(state, 1), [55.0] * 5, np.full(5, 30.0), np.full(5, 40.0), params)
+        b = build(StrategyKind.HF_MS, state_at(state, 1), [55.0] * 2, np.full(5, 30.0), np.full(5, 40.0), params)
         assert warm_start_from(b, a, Start(xa)).multipliers is None
         mult = self.random_multipliers(a, rng)
         start = warm_start_from(b, a, Start(xa, mult))
@@ -495,24 +495,25 @@ class TestStarts:
         for f in ("stor", "eps"):
             assert start.x[b.idx[f]][0] == b.lb[b.idx[f]][0] != xa[a.idx[f]][1]  # pinned state wins
 
-    def test_warm_start_after_a_bootstrap_carries_every_tail(self, params, state):
-        # a bootstrap-shaped horizon of free day-ahead hours, then the
-        # committed horizon a step on: every tail carries, no tie row exists
-        a = make_problem(StrategyKind.HF_MS, state, params, H=8, dam_fixed=[None] * 8)
-        assert len(a.tie_pairs) == 6
+    @pytest.mark.parametrize("dam", [55.0, None])
+    def test_warm_start_after_a_bootstrap_carries_every_row_multiplier(self, dam, params, state):
+        # the bootstrap's 24 free hours, then the 00:15 horizon, committed as
+        # the closed loop builds it or still free: every row has a counterpart
+        a = make_problem(StrategyKind.HF_MS, state, params, H=96, dam=None)
         rng = np.random.default_rng(14)
         xa, mult = cold_start(a), self.random_multipliers(a, rng)
-        b = build(StrategyKind.HF_MS, state_at(state, 1), [55.0] * 7, np.full(7, 30.0), np.full(7, 40.0), params)
-        assert len(b.tie_pairs) == 0
-        self.assert_tails(b, a, warm_start_from(b, a, Start(xa, mult)), xa, mult)
-        # a horizon that keeps free hours starts its tie rows at zero
-        free = build(StrategyKind.HF_MS, state_at(state, 1), [None] * 7, np.full(7, 30.0), np.full(7, 40.0), params)
-        assert len(free.tie_pairs) == 5
-        self.assert_tails(free, a, warm_start_from(free, a, Start(xa, mult)), xa, mult)
+        b = make_problem(StrategyKind.HF_MS, state_at(state, 1), params, H=95, dam=dam)
+        assert len(a.idx["p_dam"]) == len(b.idx["p_dam"]) == 24
+        start = warm_start_from(b, a, Start(xa, mult))
+        self.assert_tails(b, a, start, xa, mult)
+        assert np.array_equal(start.multipliers.rows, mult.rows[np.concatenate(
+            [np.arange(a._rows[name].start + 1, a._rows[name].stop) for name in a._rows]
+        )])
 
     def test_warm_start_needs_the_strategy_and_the_horizon_end(self, params, state):
         def problem(strategy, H, step):
-            return build(strategy, state_at(state, step), [55.0] * H, np.full(H, 30.0), np.full(H, 40.0), params)
+            start = state_at(state, step)
+            return build(strategy, start, hourly(start, H, 55.0), np.full(H, 30.0), np.full(H, 40.0), params)
 
         a = problem(StrategyKind.HF_MS, 6, 0)
         for prob in (

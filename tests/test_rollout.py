@@ -173,6 +173,16 @@ class TestRunValidation:
                 flat_two_days(25.0), START, START - timedelta(days=1), plant,
             )
 
+    def test_simulator_rejection_is_a_rollout_error(self, plant):
+        # a membrane of 0.5 um wears through in the fourth step of constant operation
+        thin = PlantState(0.5, 4200.0, datetime(2022, 1, 3))
+        with pytest.raises(RolloutError, match="rejected the applied action at 2022-01-03 00:45:00: membrane") as err:
+            rollout.run(
+                ocp.StrategyKind.CO, thin, flat_two_days(25.0), flat_two_days(25.0),
+                START, START, plant,
+            )
+        assert isinstance(err.value.__cause__, el.StepViolation)
+
 
 def fail_solves_at(monkeypatch, abs_step, failure):
     """Make every solve attempt at one absolute step end as ``failure`` (the

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _oracles import commitment_problem, jacobian
+from _oracles import commitment_problem, hourly, jacobian, state_at
 from h2mpc import electrolyzer as el
-from h2mpc import ocp, solver
+from h2mpc import ocp, solver, units
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
@@ -265,11 +265,12 @@ class TestSparsityLayout:
     def test_jacobian_equals_scipy_assembly(self, strategy, commitment, params, state):
         if commitment:
             prob = commitment_problem(strategy, state, params)
-            assert len(prob.tie_pairs) and np.any(prob.lb[prob.idx["p_dam"]] == 55.0)
+            dam = prob.idx["p_dam"]
+            assert np.any(prob.ub[dam] > prob.lb[dam]) and np.any(prob.lb[dam] == 55.0)
         else:
             rng = np.random.default_rng(3)
             prices = rng.uniform(15.0, 60.0, 12), rng.uniform(-10.0, 150.0, 12)
-            prob = build(strategy, state, [55.0] * 12, *prices, params)
+            prob = build(strategy, state, hourly(state, 12, 55.0), *prices, params)
         x0 = cold_start(prob)
         nlp = _ScaledNlp(prob, x0, 1.0e-4, _PUSH_COLD)
         # the row scaling comes from the Jacobian at the pushed start
@@ -324,22 +325,39 @@ class TestSchurKkt:
     def kkt_matrix(H, J, delta_c):
         return np.block([[H, J.T], [J, -delta_c * np.eye(len(J))]])
 
-    @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
-    @pytest.mark.parametrize("strategy", list(StrategyKind))
-    def test_band_equals_dense_schur_complement(self, strategy, delta_c, params, state):
-        prob = commitment_problem(strategy, state, params)
+    def assert_band_is_schur_complement(self, prob, delta_c, max_bw):
+        """Nothing of the dense J H^-1 J^T + delta_c I, rows in the plan's
+        order, lies outside a band of half-width ``kkt.bw <= max_bw``."""
         nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
         w, h, jac, H, J = self.system(nlp, 5)
         kkt = _SchurKkt(nlp)
         band = kkt.band(np.linalg.inv(kkt.blocks(w, h)), 1.0 / h, jac, delta_c)
         S = (J @ np.linalg.solve(H, J.T) + delta_c * np.eye(nlp.m))[np.ix_(kkt.order, kkt.order)]
-        # the rows in their order give a band no wider than a stage's rows and
-        # the next's; nothing of S lies outside it
-        assert band.shape == (kkt.bw + 1, nlp.m) and kkt.bw <= 16
+        assert band.shape == (kkt.bw + 1, nlp.m) and kkt.bw <= max_bw
         got = np.zeros_like(S)
         for d in range(kkt.bw + 1):
             got[np.arange(d, nlp.m), np.arange(nlp.m - d)] = band[d, : nlp.m - d]
         assert np.allclose(got, np.tril(S), rtol=1e-12, atol=1e-12 * np.max(np.abs(S)))
+
+    @pytest.mark.parametrize("delta_c", [0.0, 1.0e-8])
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_band_equals_dense_schur_complement(self, strategy, delta_c, params, state):
+        # a free hour's one day-ahead column enters the power-balance rows of
+        # its four steps, so S couples rows three steps apart: the band is at
+        # most three steps' rows wide (21 for hf-ms and hf-ss, 18 for lf-ms)
+        prob = commitment_problem(strategy, state, params)
+        rows_per_step = (prob.m_eq + len(prob.rg_lb)) // prob.horizon
+        self.assert_band_is_schur_complement(prob, delta_c, (units.STEPS_PER_HOUR - 1) * rows_per_step)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_committed_band_spans_two_steps(self, strategy, params, state):
+        # with every hour committed no column is shared between steps, and
+        # the band is no wider than a stage's rows and the next's
+        H = units.STEPS_PER_DAY - units.COMMITMENT_STEP - 1
+        start = state_at(state, units.COMMITMENT_STEP + 1)
+        prices = np.random.default_rng(5).uniform(15.0, 60.0, (2, H))
+        prob = build(strategy, start, hourly(start, H, 55.0), *prices, params)
+        self.assert_band_is_schur_complement(prob, 0.0, 16)
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_refined_solve_matches_dense_kkt(self, strategy, params, state):
@@ -382,6 +400,23 @@ class TestSchurKkt:
         assert np.linalg.norm(K @ step - rhs) <= 1e-12 * scale
         res = minimize(prob, np.zeros(3), raw_cfg())
         assert res.ok and res.feasibility <= FEASIBILITY_TOLERANCE
+
+    def test_every_factorization_failing_ends_singular_kkt(self, params, state, monkeypatch):
+        # a Schur complement that factors at no regularization: the solve
+        # stops at its first Newton step and reports it, without raising
+        tried = []
+
+        def factor(kkt, w, h, jac, delta_c):
+            tried.append(delta_c)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(_SchurKkt, "factor", factor)
+        prob = _electrolyzer_problem(params, state, H=6, seed=25)
+        res = minimize(prob, cold_start(prob), SolverConfig())
+        assert res.status == "singular_kkt" and not res.ok
+        assert res.iterations == 1 and np.all(np.isfinite(res.x))
+        # the least-squares multiplier estimate, then 12 ever more regularized tries
+        assert tried == pytest.approx([1.0e-8, 0.0] + [1.0e-10 * 10.0**i for i in range(11)], rel=1e-12)
 
     def test_no_constraint_rows(self):
         # m = 0: the step is H^-1 rhs and there is no S to factor
@@ -495,7 +530,7 @@ def _electrolyzer_problem(params, state, H, seed):
     rng = np.random.default_rng(seed)
     dam_price = rng.uniform(15.0, 60.0, H)
     rtm_price = rng.uniform(-10.0, 150.0, H)
-    return build(StrategyKind.HF_MS, state, [55.0] * H, dam_price, rtm_price, params)
+    return build(StrategyKind.HF_MS, state, hourly(state, H, 55.0), dam_price, rtm_price, params)
 
 
 class TestBruteForceOracle:
@@ -519,7 +554,7 @@ class TestBruteForceOracle:
             t_grid, i_grid, s_grid, t_grid, i_grid, s_grid, indexing="ij"
         )
         shape = T1.shape
-        dam = prob.lb[prob.idx["p_dam"]]
+        dam = prob.lb[prob.idx["p_dam"][prob.dam_hour]]  # each step's committed quantity
         eps0 = prob.lb[prob.idx["eps"][0]]
         stor0 = prob.lb[prob.idx["stor"][0]]
 
@@ -576,7 +611,7 @@ class TestBruteForceOracle:
         dam_price = np.array([30.0, 30.0])
         rtm_price = np.array([28.0, 33.0])
         prob = build(
-            StrategyKind.HF_MS, state, [60.0, 60.0], dam_price, rtm_price, params
+            StrategyKind.HF_MS, state, [60.0], dam_price, rtm_price, params
         )
         best_obj, best_controls, cells = self.brute_force(prob, params)
         assert np.isfinite(best_obj)
