@@ -4,7 +4,8 @@ One model serves both the simulator and the high-fidelity controller:
 ``stack_point`` evaluates the three-term stack voltage, total plant power
 and the empirical membrane-thinning rate at the configured chamber
 pressures, with their exact first and second partial derivatives on
-request. ``step`` advances the plant state with forward Euler.
+request. ``step`` advances the plant state with forward Euler, at the
+controller's generation slope and membrane price (``PlantParams``).
 
 Functions accept floats or numpy arrays (everything is written with numpy
 ufuncs), which the optimal-control transcription relies on.
@@ -44,13 +45,6 @@ class StepViolation(ValueError):
     """A simulator step would violate a physical or contractual bound."""
 
 
-def h2_generation_rate(current: float, p: PlantParams):
-    """Cathode H2 generation [mol/s] for stack current [A]: n*I*eta/(2F)."""
-    if np.any(np.asarray(current) < 0.0):
-        raise ValueError("current must be nonnegative")
-    return p.n_stacks * current * p.faraday_efficiency / (2.0 * FARADAY)
-
-
 def reversible_potential(temperature):
     """Reversible cell potential [V]: 1.299 - 0.9e-3 (T - 298)."""
     return E_REV_298 - E_REV_SLOPE * (np.asarray(temperature, dtype=float) - 298.0)
@@ -64,17 +58,30 @@ def membrane_conductivity(temperature, p: PlantParams):
     )
 
 
+def _thinning(temperature, current_density, partials: bool):
+    """The rate [um/min] of DEG_COEFFS' polynomial sum_k (s_k T + c_k) j^k and,
+    with ``partials``, its partials d/dT, d/dj, d2/dTdj and d2/dj2 (else
+    zeros), each summed once over the coefficients in descending powers of j."""
+    t, j = np.asarray(temperature, dtype=float), np.asarray(current_density, dtype=float)
+    rate = r_t = r_j = r_tj = r_jj = 0.0
+    for k, (slope, intercept) in zip((4, 3, 2, 1, 0), DEG_COEFFS):
+        a = slope * t + intercept
+        rate = rate + a * j**k
+        if partials:
+            r_t = r_t + slope * j**k
+            if k > 0:
+                r_j, r_tj = r_j + k * a * j ** (k - 1), r_tj + k * slope * j ** (k - 1)
+            if k > 1:
+                r_jj = r_jj + k * (k - 1) * a * j ** (k - 2)
+    return (float(rate) if np.ndim(rate) == 0 else rate), r_t, r_j, r_tj, r_jj
+
+
 def degradation_rate(temperature, current_density):
     """Signed membrane-thickness rate [um/min] at T [K], j [A/cm2].
 
     Negative throughout the admissible operating box (the membrane thins).
     """
-    t = np.asarray(temperature, dtype=float)
-    j = np.asarray(current_density, dtype=float)
-    total = 0.0
-    for power, (slope, intercept) in zip((4, 3, 2, 1, 0), DEG_COEFFS):
-        total = total + (slope * t + intercept) * j**power
-    return float(total) if np.ndim(total) == 0 else total
+    return _thinning(temperature, current_density, partials=False)[0]
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     v_tot = v_act + v_oc + v_ohm
     aux = p.extra_energy_coeff * units.MOLAR_MASS_H2 * p.h2_kmol_hr_per_amp  # kW per A
     p_kw = v_tot * I * p.n_stacks / 1000.0 + aux * I
-    rate = degradation_rate(T, j)
+    rate, rate_T, rate_j, rate_Tj, rate_jj = _thinning(T, j, partials)
     if not partials:
         return StackPoint(v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate)
 
@@ -173,14 +180,6 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     dp_dT = dv_dT * I * p.n_stacks / 1000.0
     dp_dI = (v_tot + I * dv_dI) * p.n_stacks / 1000.0 + aux
     dp_deps = dv_deps * I * p.n_stacks / 1000.0
-
-    c4, c3, c2, c1, c0 = DEG_COEFFS
-    drate_dT = c4[0] * j**4 + c3[0] * j**3 + c2[0] * j**2 + c1[0] * j + c0[0]
-    a4 = c4[0] * T + c4[1]
-    a3 = c3[0] * T + c3[1]
-    a2 = c2[0] * T + c2[1]
-    a1 = c1[0] * T + c1[1]
-    drate_dI = (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / acm2
 
     # V_act is T ln I times a constant and V_oc is affine in T. V_ohm's T
     # partial is -V_ohm K/T^2, so a T partial of any V_ohm term brings a
@@ -201,13 +200,12 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
         (2.0 * dv_dI + I * v_II) * kw_per_va,
         (dv_deps + I * ohm_per_um) * kw_per_va,
     )
-    rate_TI = (4.0 * c4[0] * j**3 + 3.0 * c3[0] * j**2 + 2.0 * c2[0] * j + c1[0]) / acm2
-    rate_II = (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / acm2**2
-    d2rate = _hessian3(0.0, rate_TI, 0.0, rate_II, 0.0)
+    # j = I / A, so each I partial of the rate divides a j partial by A
+    d2rate = _hessian3(0.0, rate_Tj / acm2, 0.0, rate_jj / acm2**2, 0.0)
     return StackPoint(
         v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate,
         dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
-        drate_dT=drate_dT, drate_dI=drate_dI, d2v=d2v, d2p=d2p, d2rate=d2rate,
+        drate_dT=rate_T, drate_dI=rate_j / acm2, d2v=d2v, d2p=d2p, d2rate=d2rate,
     )
 
 
@@ -234,7 +232,7 @@ def step(
     """
     action.validate(p)
 
-    gen_kmolhr = units.mol_s_to_kmol_hr(h2_generation_rate(action.current_a, p))
+    gen_kmolhr = p.h2_kmol_hr_per_amp * action.current_a
     if not p.h2_gen_min - 1e-9 <= gen_kmolhr <= p.h2_gen_max + 1e-9:
         raise StepViolation(
             f"generation {gen_kmolhr:.3f} kmol/hr outside [{p.h2_gen_min}, {p.h2_gen_max}]"
@@ -272,7 +270,6 @@ def step(
         raise StepViolation("membrane thickness would reach zero")
 
     loss_um = state.membrane_um - membrane_next
-    mem_cost = p.n_stacks * p.membrane_cost_coeff * loss_um
 
     new_state = PlantState(
         membrane_um=membrane_next,
@@ -285,6 +282,6 @@ def step(
         h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * units.STEP_HOURS),
         power_kw=sp.p_kw,
         membrane_loss_um=loss_um,
-        membrane_cost_usd=mem_cost,
+        membrane_cost_usd=p.membrane_cost_per_um * loss_um,
         power_balance_residual_mwh=residual,
     )

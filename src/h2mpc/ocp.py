@@ -17,7 +17,8 @@ every matrix built from them. No evaluation writes to the problem.
 Strategy differences:
 
   * high-fidelity (HF_MS, HF_SS): membrane thickness is a state with
-    thinning dynamics; membrane cost prices the projected thickness loss.
+    thinning dynamics; membrane cost prices the projected thickness loss
+    at the simulator's price, ``PlantParams.membrane_cost_per_um``.
   * HF_SS additionally pins every real-time market variable to zero.
   * low-fidelity (LF_MS, CO): no thickness state (held at the measured
     value); membrane cost is a flat fee per kmol of hydrogen produced.
@@ -167,11 +168,10 @@ class OcpProblem:
             + float(self.rtm_price @ x[self.idx["p_rtm"]])
         )
         if self.high_fidelity:
-            npmem = p.n_stacks * p.membrane_cost_coeff
-            eps_idx = self.idx["eps"]
-            mem = npmem * (x[eps_idx[0]] - x[eps_idx[-1]])
-            g[eps_idx[0]] += npmem
-            g[eps_idx[-1]] -= npmem
+            per_um, eps_idx = p.membrane_cost_per_um, self.idx["eps"]
+            mem = per_um * (x[eps_idx[0]] - x[eps_idx[-1]])
+            g[eps_idx[0]] += per_um
+            g[eps_idx[-1]] -= per_um
         else:
             kgen = p.h2_kmol_hr_per_amp
             coeff = p.lf_membrane_coeff * units.STEP_HOURS * kgen

@@ -71,6 +71,11 @@ class PlantParams:
             self.n_stacks * self.faraday_efficiency / (2.0 * FARADAY)
         )
 
+    @property
+    def membrane_cost_per_um(self) -> float:
+        """Membrane cost [$] per um of thinning: every stack's membrane thins."""
+        return self.n_stacks * self.membrane_cost_coeff
+
     def current_bounds(self) -> tuple[float, float]:
         """Stack current box [A] implied by current-density and generation limits."""
         k = self.h2_kmol_hr_per_amp

@@ -235,7 +235,7 @@ def _fallback_action(
     previous current and settle the power gap on the real-time market;
     hf-ss, with real-time trading pinned to zero, bisects the current at
     which plant power meets the commitment (power rises with current).
-    Plant power comes from the same model the simulator steps.
+    Plant power and generation come from the model the simulator steps.
     """
     temp = prev.temperature_k
 
@@ -258,7 +258,7 @@ def _fallback_action(
         current = prev.current_a
         p_rtm_mw = power_mw(current) - p_dam_mw
 
-    gen = units.mol_s_to_kmol_hr(electrolyzer.h2_generation_rate(current, p))
+    gen = p.h2_kmol_hr_per_amp * current
     el_plant = min(gen, p.h2_setpoint)
     return ControlAction(
         p_dam_mw=p_dam_mw,

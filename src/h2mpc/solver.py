@@ -17,8 +17,8 @@ positive definite.
 
 As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
 column) entries once and its evaluations return only their values. Each
-solve fixes its scaled Jacobian's pattern once and keeps the Jacobian as
-values on it.
+solve keeps that order, range slacks' entries last, as its scaled
+Jacobian's pattern and keeps the Jacobian as values on it.
 
 Each Newton step goes through the Schur complement of the barrier
 Hessian, as MPC-tailored interior-point methods do (Rao, Wright and
@@ -146,10 +146,9 @@ class _ScaledNlp:
     inside their bounds, slacks at the range values there, pushed alike)
     sets the row scaling and gives the first iterate's ``(c, jac, feas,
     curvature)`` as ``at_z0``. The scaled Jacobian is an array of values on
-    this solve's pattern, the entries the problem declares with the -ds
-    slack block: ``jac_rows``/``jac_cols``, row by row, each row's columns
-    descending (the order of the matrix scipy assembles from them). Every
-    evaluation only computes new values.
+    this solve's pattern, ``jac_rows``/``jac_cols``: the entries the problem
+    declares in its free columns, in its order, then the -ds slack block.
+    Every evaluation only computes new values.
     """
 
     def __init__(self, prob, x0_full: np.ndarray, obj_scale: float, push: float):
@@ -193,15 +192,12 @@ class _ScaledNlp:
         np.maximum.at(row_max, rows[src], np.abs(vals0[src] * col_scale))
         self.row_scale = 1.0 / np.maximum(1.0, row_max)
 
-        # reduced entries then the -ds slack block, in the pattern's order
+        # declared free-column entries, then the -ds slack block (values read an appended 1)
         slack = np.arange(self.m_rg)
-        rows = np.concatenate([rows[src], self.m_eq + slack])
-        cols = np.concatenate([cols[src], self.n_free + slack])
-        order = np.lexsort((-cols, rows))
-        self.jac_rows, self.jac_cols = rows[order], cols[order]
-        self.jac_src = np.concatenate([src, len(vals0) + slack])[order]
-        self.jac_col_scale = np.concatenate([col_scale, np.ones(self.m_rg)])[order]
-        self.jac_row_scale = self.row_scale[self.jac_rows]
+        self.jac_src = np.concatenate([src, np.full(self.m_rg, len(vals0))])
+        self.jac_rows = np.concatenate([rows[src], self.m_eq + slack])
+        self.jac_cols = np.concatenate([cols[src], self.n_free + slack])
+        self.jac_scale = self.row_scale[self.jac_rows] * np.concatenate([col_scale, -self.ds])
 
         # nonlinear blocks in reduced coordinates: each column's scale, zero
         # where the column is fixed (which zeroes its row and column of the
@@ -259,7 +255,7 @@ class _ScaledNlp:
 
     def jac_t_dot(self, jac: np.ndarray, y: np.ndarray) -> np.ndarray:
         """J.T @ y for the Jacobian with values ``jac`` on this solve's
-        pattern; each entry sums in row order, as scipy's does."""
+        pattern; each column sums in its declared, ascending row order."""
         return np.bincount(self.jac_cols, jac * y[self.jac_rows], minlength=self.nz)
 
     def hessian(self, curvature, y: np.ndarray) -> np.ndarray:
@@ -271,8 +267,7 @@ class _ScaledNlp:
         return np.where(self.blk_kept, _project_blocks(hz), 0.0)
 
     def _scaled_jacobian(self, values: np.ndarray) -> np.ndarray:
-        vals = np.concatenate([values, -self.ds])[self.jac_src]
-        return self.jac_row_scale * (vals * self.jac_col_scale)
+        return self.jac_scale * np.append(values, 1.0)[self.jac_src]
 
     def _scaled_residual(self, res: np.ndarray, z: np.ndarray) -> np.ndarray:
         s = z[self.n_free :] * self.ds

@@ -61,8 +61,8 @@ def week_logs(params, week_prices, week_state, tmp_path_factory):
 
 class TestCriterion1Physics:
     def test_physics_oracles(self, params):
-        got = el.h2_generation_rate(65000.0, params)
-        expected = 800 * 65000 * 0.95 / (2 * 96485)  # 255.998... mol/s
+        got = params.h2_kmol_hr_per_amp * 65000.0  # the simulator's and the controller's, kmol/hr
+        expected = units.mol_s_to_kmol_hr(800 * 65000 * 0.95 / (2 * 96485))  # 255.998... mol/s
         assert abs(got - expected) < 1e-6
         assert el.reversible_potential(298.0) == 1.299
         assert abs(el.membrane_conductivity(303.0, params) - 0.0687) < 1e-5
@@ -70,13 +70,13 @@ class TestCriterion1Physics:
         # printed -0.0060325 is an arithmetic slip; see the decisions ledger)
         assert abs(el.degradation_rate(343.15, 1.0) - horner_rate(343.15, 1.0)) < 1e-7
         assert abs(el.degradation_rate(343.15, 1.0) - (-0.006042)) < 1e-7
-        ok(1, "generation 255.998 mol/s, V_rev(298)=1.299, beta(303)=0.0687, "
+        ok(1, "generation 921.594 kmol/hr (255.998 mol/s), V_rev(298)=1.299, beta(303)=0.0687, "
               "rate(343.15,1.0)=-0.006042 um/min")
 
 
 class TestCriterion2CoConsistency:
     def test_fixed_current_reproduces_setpoint(self, params):
-        gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(ocp.CO_FIXED_CURRENT_A, params))
+        gen = params.h2_kmol_hr_per_amp * ocp.CO_FIXED_CURRENT_A
         rel = abs(gen - params.h2_setpoint) / params.h2_setpoint
         assert rel < 1e-3
         ok(2, f"35.26 kA gives {gen:.3f} kmol/hr, {rel:.2e} relative from the setpoint")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import euler_consistent_point, hourly
 from h2mpc import electrolyzer as el
-from h2mpc import ocp, units
+from h2mpc import ocp
 from h2mpc.params import ControlAction, ParamError, PlantParams, PlantState, validate_params
 
 
@@ -23,28 +23,26 @@ def horner_rate(t, j):
     return (((a4 * j + a3) * j + a2) * j + a1) * j + a0
 
 
+def oracle_generation_kmolhr(current):
+    """Independent oracle: the paper's n*I*eta/(2F) [mol/s], in kmol/hr."""
+    return 800 * current * 0.95 / (2 * 96485) * 3.6
+
+
 class TestGenerationRates:
-    def test_zero_current(self, params):
-        assert el.h2_generation_rate(0.0, params) == 0.0
+    # the simulator and the controller both generate h2_kmol_hr_per_amp * I
+    def test_slope_oracle(self, params):
+        assert params.h2_kmol_hr_per_amp == pytest.approx(oracle_generation_kmolhr(1.0), rel=1e-14)
 
     def test_max_current_oracle(self, params):
-        # hand evaluation of n*I*eta/(2F)
-        expected = 800 * 65000 * 0.95 / (2 * 96485)
-        got = el.h2_generation_rate(65000.0, params)
-        assert got == pytest.approx(expected, abs=1e-9)
-        assert units.mol_s_to_kmol_hr(got) == pytest.approx(921.594, abs=1e-2)
+        got = params.h2_kmol_hr_per_amp * 65000.0
+        assert got == pytest.approx(oracle_generation_kmolhr(65000.0), rel=1e-14)
+        assert got == pytest.approx(921.594, abs=1e-2)
 
     def test_co_current_hits_setpoint(self, params):
         # the constant-operation current reproduces the 500 kmol/hr setpoint
-        rate = units.mol_s_to_kmol_hr(el.h2_generation_rate(3.526e4, params))
+        rate = params.h2_kmol_hr_per_amp * 3.526e4
         assert rate == pytest.approx(500.0, rel=1e-3)
-        assert el.h2_generation_rate(3.526e4, params) == pytest.approx(
-            800 * 35260 * 0.95 / (2 * 96485), abs=1e-9
-        )
-
-    def test_negative_current_rejected(self, params):
-        with pytest.raises(ValueError):
-            el.h2_generation_rate(-1.0, params)
+        assert rate == pytest.approx(oracle_generation_kmolhr(35260.0), rel=1e-14)
 
 
 class TestVoltages:
@@ -171,6 +169,20 @@ class TestPartials:
             else:
                 assert getattr(sp, name) is None, name
 
+    def test_rate_partials_equal_the_expanded_polynomial(self, params):
+        # the reference: each partial of the thinning polynomial written out
+        # term by term, in descending powers of j
+        T, I, eps = operating_box_points(params, n=5000)
+        sp = el.stack_point(T, I, eps, params)
+        A = params.membrane_area_cm2
+        j = I / A
+        (s4, c4), (s3, c3), (s2, c2), (s1, c1), (s0, _) = el.DEG_COEFFS
+        a4, a3, a2, a1 = s4 * T + c4, s3 * T + c3, s2 * T + c2, s1 * T + c1
+        assert np.array_equal(sp.drate_dT, s4 * j**4 + s3 * j**3 + s2 * j**2 + s1 * j + s0)
+        assert np.array_equal(sp.drate_dI, (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / A)
+        assert np.array_equal(sp.d2rate[:, 0, 1], (4.0 * s4 * j**3 + 3.0 * s3 * j**2 + 2.0 * s2 * j + s1) / A)
+        assert np.array_equal(sp.d2rate[:, 1, 1], (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / A**2)
+
     def test_second_partials_match_differences_of_first(self, params):
         def gradients(T, I, eps):
             sp = el.stack_point(T, I, eps, params)
@@ -247,7 +259,7 @@ class TestDegradationRate:
 
 
 def co_action(params, p_rtm=0.0, p_dam=None) -> ControlAction:
-    gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(3.526e4, params))
+    gen = params.h2_kmol_hr_per_amp * 3.526e4
     power_kw = plant_power(3.526e4, params)
     dam = power_kw / 1000.0 - p_rtm if p_dam is None else p_dam
     return ControlAction(
@@ -288,7 +300,7 @@ class TestStep:
 
     def test_membrane_thinning_matches_rate(self, params, state):
         i_at_jmax = 1.3 * params.membrane_area_cm2  # 65 kA
-        gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(i_at_jmax, params))
+        gen = params.h2_kmol_hr_per_amp * i_at_jmax
         act = ControlAction(
             p_dam_mw=plant_power(i_at_jmax, params) / 1000.0,
             p_rtm_mw=0.0,
@@ -304,7 +316,8 @@ class TestStep:
         assert res.membrane_cost_usd == pytest.approx(
             params.n_stacks * params.membrane_cost_coeff * expected_loss, rel=1e-9
         )
-        # ton accounting: gen kmol/hr for a quarter hour
+        # ton accounting: the paper's generation for a quarter hour
+        assert gen == pytest.approx(oracle_generation_kmolhr(i_at_jmax), rel=1e-14)
         assert res.h2_produced_ton == pytest.approx(gen * 0.25 * 2.016 / 1000.0, rel=1e-12)
 
     def test_mass_closure_property(self, params, state):
@@ -341,7 +354,7 @@ class TestStep:
 
     def test_step_rejects_storage_overflow(self, params):
         full = PlantState(178.0, params.storage_max, datetime(2022, 1, 3))
-        gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(65000.0, params))
+        gen = params.h2_kmol_hr_per_amp * 65000.0
         act = ControlAction(
             plant_power(65000.0, params) / 1000.0,
             0.0, 343.15, 65000.0, 500.0, gen - 500.0, 0.0,
@@ -354,7 +367,7 @@ class TestStep:
         # simulator's tolerance; the controller builds from the state
         near = PlantState(178.0, params.storage_max - 25.0 + 5e-10, datetime(2022, 1, 3))
         current = 600.0 / params.h2_kmol_hr_per_amp
-        gen = units.mol_s_to_kmol_hr(el.h2_generation_rate(current, params))
+        gen = params.h2_kmol_hr_per_amp * current
         act = ControlAction(plant_power(current, params) / 1000.0, 0.0, 343.15, current, 500.0, gen - 500.0, 0.0)
         assert near.storage_kmol + 0.25 * (gen - 500.0) > params.storage_max
         res = el.step(near, act, params)

@@ -148,6 +148,16 @@ class TestReceedingHorizonMechanics:
             assert abs(delta - net) < 1e-9
             prev = st.storage_kmol
 
+    def test_logged_production_is_the_controllers_generation(self, hf_spike_log, plant):
+        # the simulator generates the controller's mass_split expression,
+        # the slope times the current, to the bit
+        k = plant.h2_kmol_hr_per_amp
+        missed = [
+            i for i, (act, ton) in enumerate(zip(hf_spike_log.actions, hf_spike_log.h2_ton))
+            if ton != units.kmol_to_ton_h2(k * act.current_a * units.STEP_HOURS)
+        ]
+        assert len(hf_spike_log) == 96 and missed == []
+
 
 class TestRunValidation:
     def test_requires_midnight_clock(self, plant):
@@ -238,6 +248,8 @@ class TestFailedSolveFallback:
         assert abs(log.power_residual_mwh[FAILED_STEP]) <= 1e-9
         supply = act.h2_el_to_plant_kmolhr + act.h2_from_storage_kmolhr
         assert abs(supply - plant.h2_setpoint) < 1e-9
+        # the fallback splits the controller's generation, the slope times the current
+        assert act.h2_el_to_plant_kmolhr + act.h2_to_storage_kmolhr == plant.h2_kmol_hr_per_amp * act.current_a
         settled = market.settle(log.actions, log.dam_price, log.rtm_price)
         assert abs(log.ledger().electricity_usd - settled) < 1e-6
 
