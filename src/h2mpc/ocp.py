@@ -457,10 +457,12 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
 
 
 def warm_start_from(prob: OcpProblem, prev: OcpProblem, prev_sol: Start | SolveResult) -> Start:
-    """The previous solve's tail: a start for a horizon with the same end.
+    """An earlier solve's tail: a start for a horizon with the same end.
 
-    The closed loop starts a problem warm when it is the previous one a
-    step on and a step shorter; both end at 23:59. Every variable field and
+    The closed loop starts a problem warm from the latest optimal plan that
+    ends where it does, any number of steps back: the previous step's, or
+    past a failed step or the 09:00 solve an older one (09:15 from 08:45,
+    midnight from the previous day's 09:00). Every variable field and
     every row block of ``prob`` takes the last entries of its counterpart
     in ``prev``: the plan, and when ``prev_sol`` carries them, the row
     multipliers and the bound multipliers of the variables and of the

@@ -8,14 +8,18 @@ an immutable commitment. The very first step of a run performs a
 bootstrap solve with free day-ahead variables for its own day, since no
 earlier 09:00 solve exists to have committed it.
 
-A step whose warm solve is not optimal, or that has no warm start, is
-solved from the cold start point along a fixed ladder of barrier and
-objective scalings until one solve is optimal; only an optimal solve's
-plan is applied or frozen. If every attempt fails at a step that freezes
-a commitment, the run aborts with RolloutError rather than freezing a
-schedule from a failed iterate; at any other step the plant holds its
-operating point while buying exactly the committed day-ahead quantity,
-and the step is flagged.
+A step starts warm from the latest optimal plan whose horizon ends where
+its own does, shifted onto it: the previous step's, the 08:45 plan at
+09:15 (the 09:00 solve ends a day later) and the previous day's 09:00
+plan at midnight. Only the bootstrap and each 09:00 solve open a new
+horizon end and start cold. A step whose warm solve is not optimal, or
+that has no warm start, is solved from the cold start point along a fixed
+ladder of barrier and objective scalings until one solve is optimal; only
+an optimal solve's plan is applied, frozen or kept to start a later step
+from. If every attempt fails at a step that freezes a commitment, the run
+aborts with RolloutError rather than freezing a schedule from a failed
+iterate; at any other step the plant holds its operating point while
+buying exactly the committed day-ahead quantity, and the step is flagged.
 
 Whatever model the controller used, the simulator always runs the
 high-fidelity physics, and the cost ledger always accounts membrane wear
@@ -302,8 +306,8 @@ def run(
     log = TrajectoryLog(strategy=strategy.value)
     state = initial_state
     commitments: dict[date, DamCommitment] = {}
-    prev_prob: ocp.OcpProblem | None = None
-    prev_sol: SolveResult | None = None
+    # the latest optimal solve per horizon end, today's and tomorrow's
+    plans: dict[datetime, tuple[ocp.OcpProblem, SolveResult]] = {}
     prev_action: ControlAction | None = None
 
     # CO misses the supply setpoint by 0.014% by construction; optimizing
@@ -335,13 +339,14 @@ def run(
             p,
         )
 
-        # a warm start only makes sense when this problem is the previous
-        # one shifted by one step; horizon jumps (the 09:00 commitment
-        # solve and midnight) change the problem structure and warm points
-        # wedge the barrier method instead of helping it
-        warm = prev_prob is not None and prev_prob.horizon == prob.horizon + 1
+        # the latest optimal plan with this horizon's end plans the same
+        # hours, so its tail is this step's warm start whatever the shift;
+        # a plan whose end has passed can start no step again
+        end = ts + timedelta(minutes=horizon * units.STEP_MINUTES)
+        plans = {e: plan for e, plan in plans.items() if e > ts}
+        warm = end in plans
         if warm:
-            start = ocp.warm_start_from(prob, prev_prob, prev_sol)
+            start = ocp.warm_start_from(prob, *plans[end])
             sol = solve(prob, start, SolverConfig(initialization="warm", max_iterations=400))
         if not warm or not sol.ok:
             for overrides in _RETRY_LADDER:
@@ -391,7 +396,7 @@ def run(
         state = result.state
         prev_action = action
         if sol.ok:
-            prev_prob, prev_sol = prob, sol
+            plans[end] = prob, sol
 
     log.commitments = commitments
     _verify_ledger(log)

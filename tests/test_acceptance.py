@@ -330,3 +330,13 @@ class TestWarmStartGuard:
         assert max(warm_iters) <= 3.0 * cold_median, (max(warm_iters), cold_median)
         ok("warm-start guard",
            f"max warm iterations {max(warm_iters)} <= 3 x cold median {cold_median:.0f}")
+
+    def test_only_new_horizon_ends_start_cold(self, week_logs):
+        # the bootstrap and each day's 09:00 solve; every other step shifts
+        # the latest optimal plan with its own horizon end
+        log = week_logs[0]["hf-ms"]
+        cold = [ts for ts, warm in zip(log.timestamps, log.warm_started) if not warm]
+        days = [WEEK_START + timedelta(days=d) for d in range((WEEK_END - WEEK_START).days + 1)]
+        assert cold == [datetime(2022, 1, 2)] + [datetime(d.year, d.month, d.day, 9) for d in days]
+        assert len(cold) == 8
+        ok("warm-start guard", f"{len(cold)} cold-started hf-ms steps in {len(log)}")

@@ -483,7 +483,7 @@ class TestStarts:
                 assert np.array_equal(got.upper[new], mult.upper[old_slack]), name
 
     def test_warm_start_takes_the_previous_tail(self, params, state):
-        # the closed loop's warm start: one step on, one step shorter
+        # the closed loop's usual warm start: one step on, one step shorter
         a = make_problem(StrategyKind.HF_MS, state, params, H=6)
         rng = np.random.default_rng(13)
         xa = euler_consistent_point(a, rng)
@@ -509,6 +509,31 @@ class TestStarts:
         assert np.array_equal(start.multipliers.rows, mult.rows[np.concatenate(
             [np.arange(a._rows[name].start + 1, a._rows[name].stop) for name in a._rows]
         )])
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_warm_start_shifts_past_the_commitment_solve(self, strategy, params, state):
+        # 09:15 starts from the 08:45 plan, two steps back, since the 09:00
+        # solve between them ends a day later; both open in a partial hour
+        a = make_problem(strategy, state_at(state, 35), params, H=61)
+        b = make_problem(strategy, state_at(state, 37), params, H=59)
+        assert (len(a.idx["p_dam"]), len(b.idx["p_dam"])) == (16, 15)
+        rng = np.random.default_rng(15)
+        xa, mult = euler_consistent_point(a, rng), self.random_multipliers(a, rng)
+        self.assert_tails(b, a, warm_start_from(b, a, Start(xa, mult)), xa, mult)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_warm_start_at_midnight_shifts_the_commitment_plan(self, strategy, params, state):
+        # the next day's 00:00 problem, its 24 hours now committed, starts
+        # from the 09:00 plan 60 steps back, whose last 96 steps plan that day
+        a = commitment_problem(strategy, state, params)
+        b = make_problem(strategy, state_at(state, units.STEPS_PER_DAY), params, H=units.STEPS_PER_DAY)
+        assert (a.horizon, len(a.idx["p_dam"]), len(b.idx["p_dam"])) == (156, 39, 24)
+        rng = np.random.default_rng(16)
+        xa, mult = euler_consistent_point(a, rng), self.random_multipliers(a, rng)
+        start = warm_start_from(b, a, Start(xa, mult))
+        self.assert_tails(b, a, start, xa, mult)
+        # tomorrow's free hours in the 09:00 plan take their committed value
+        assert np.all(start.x[b.idx["p_dam"]] == 55.0)
 
     def test_warm_start_needs_the_strategy_and_the_horizon_end(self, params, state):
         def problem(strategy, H, step):

@@ -194,6 +194,10 @@ class TestRunValidation:
         assert isinstance(err.value.__cause__, el.StepViolation)
 
 
+def step_time(abs_step):
+    return datetime(2022, 1, 3) + abs_step * timedelta(minutes=units.STEP_MINUTES)
+
+
 def fail_solves_at(monkeypatch, abs_step, failure):
     """Make every solve attempt at one absolute step end as ``failure`` (the
     result fields it replaces); count the attempts."""
@@ -202,13 +206,34 @@ def fail_solves_at(monkeypatch, abs_step, failure):
 
     def solve(prob, init, cfg):
         sol = real_solve(prob, init, cfg)
-        if prob.start_time != datetime(2022, 1, 3) + abs_step * timedelta(minutes=units.STEP_MINUTES):
+        if prob.start_time != step_time(abs_step):
             return sol
         attempts.append((cfg, init))
         return dataclasses.replace(sol, **failure)
 
     monkeypatch.setattr(rollout, "solve", solve)
     return attempts
+
+
+def watch_starts(monkeypatch, abs_step):
+    """Map each warm-started problem's start time to that of the plan it
+    shifts; record the (config, result) of every attempt at one step."""
+    real_warm, real_solve = ocp.warm_start_from, rollout.solve
+    shifted_from, attempts = {}, []
+
+    def warm_start_from(prob, prev, prev_sol):
+        shifted_from[prob.start_time] = prev.start_time
+        return real_warm(prob, prev, prev_sol)
+
+    def solve(prob, init, cfg):
+        sol = real_solve(prob, init, cfg)
+        if prob.start_time == step_time(abs_step):
+            attempts.append((cfg, sol))
+        return sol
+
+    monkeypatch.setattr(ocp, "warm_start_from", warm_start_from)
+    monkeypatch.setattr(rollout, "solve", solve)
+    return shifted_from, attempts
 
 
 FAILED_STEP = 50  # 12:30, neither a bootstrap nor a commitment step
@@ -225,11 +250,17 @@ class TestFailedSolveFallback:
     @pytest.mark.parametrize("strategy, failure", with_failures([ocp.StrategyKind.HF_SS, ocp.StrategyKind.HF_MS]))
     def test_fallback_keeps_the_commitment(self, strategy, failure, plant, start_state, monkeypatch):
         attempts = fail_solves_at(monkeypatch, FAILED_STEP, failure)
+        shifted_from, next_attempts = watch_starts(monkeypatch, FAILED_STEP + 1)
         log = rollout.run(
             strategy, start_state, flat_two_days(25.0), flat_two_days(25.0),
             START, START, plant,
         )
         assert len(log) == 96
+        # the next step shifts the last optimal plan, two steps back, and
+        # its warm solve is optimal with no rung of the ladder run
+        assert shifted_from[step_time(FAILED_STEP + 1)] == step_time(FAILED_STEP - 1)
+        assert [(cfg.initialization, sol.ok) for cfg, sol in next_attempts] == [("warm", True)]
+        assert step_time(FAILED_STEP) not in shifted_from.values()
         # warm, then every cold rung of the retry ladder
         assert len(attempts) == 1 + len(rollout._RETRY_LADDER)
         assert [cfg.initialization for cfg, _ in attempts] == ["warm"] + ["cold"] * len(rollout._RETRY_LADDER)
@@ -335,9 +366,40 @@ class TestWarmStarts:
         )
         log = rollout.run(ocp.StrategyKind.LF_MS, state, dam, rtm, day, day, plant)
         assert not any(log.flagged)
-        # every step but the bootstrap, 09:00 and the one after it
-        assert len(warm_iterations) == 93
+        # every step but the bootstrap and 09:00, the two that open a horizon end
+        assert len(warm_iterations) == 94
         assert np.median(warm_iterations) <= 4
+
+    def test_bundled_hf_ms_days_start_cold_only_at_a_new_horizon_end(self, plant, dam_csv_path, rtm_csv_path,
+                                                                      monkeypatch):
+        # the benchmark's hfms-days run: 09:15 shifts the 08:45 plan past the
+        # 09:00 solve, and the second midnight shifts the first day's 09:00 plan
+        dam = market.load_price_csv(dam_csv_path, resolution_minutes=60)
+        rtm = market.load_price_csv(rtm_csv_path, resolution_minutes=15)
+        real_solve = rollout.solve
+        attempts = []
+
+        def solve(prob, init, cfg):
+            sol = real_solve(prob, init, cfg)
+            attempts.append((prob.start_time, cfg.initialization, sol.ok))
+            return sol
+
+        monkeypatch.setattr(rollout, "solve", solve)
+        first = date(2022, 1, 2)
+        state = PlantState(
+            membrane_um=plant.membrane_thickness_initial,
+            storage_kmol=0.6 * plant.storage_capacity,
+            clock=datetime(2022, 1, 2),
+        )
+        log = rollout.run(ocp.StrategyKind.HF_MS, state, dam, rtm, first, first + timedelta(days=1), plant)
+        # one attempt per step, each optimal
+        assert [ts for ts, _, _ in attempts] == log.timestamps
+        assert all(ok for _, _, ok in attempts)
+        cold = [ts for ts, init, _ in attempts if init == "cold"]
+        assert cold == [datetime(2022, 1, 2), datetime(2022, 1, 2, 9), datetime(2022, 1, 3, 9)]
+        warm = dict(zip(log.timestamps, log.warm_started))
+        assert all(warm[ts] for ts in (datetime(2022, 1, 2, 9, 15), datetime(2022, 1, 3), datetime(2022, 1, 3, 9, 15)))
+        assert sum(warm.values()) == 189
 
 
 _MIXED = st.one_of(
