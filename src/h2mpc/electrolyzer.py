@@ -63,16 +63,17 @@ def _thinning(temperature, current_density, partials: bool):
     with ``partials``, its partials d/dT, d/dj, d2/dTdj and d2/dj2 (else
     zeros), each summed once over the coefficients in descending powers of j."""
     t, j = np.asarray(temperature, dtype=float), np.asarray(current_density, dtype=float)
+    power = [j**k for k in range(5)]
     rate = r_t = r_j = r_tj = r_jj = 0.0
     for k, (slope, intercept) in zip((4, 3, 2, 1, 0), DEG_COEFFS):
         a = slope * t + intercept
-        rate = rate + a * j**k
+        rate = rate + a * power[k]
         if partials:
-            r_t = r_t + slope * j**k
+            r_t = r_t + slope * power[k]
             if k > 0:
-                r_j, r_tj = r_j + k * a * j ** (k - 1), r_tj + k * slope * j ** (k - 1)
+                r_j, r_tj = r_j + k * a * power[k - 1], r_tj + k * slope * power[k - 1]
             if k > 1:
-                r_jj = r_jj + k * (k - 1) * a * j ** (k - 2)
+                r_jj = r_jj + k * (k - 1) * a * power[k - 2]
     return (float(rate) if np.ndim(rate) == 0 else rate), r_t, r_j, r_tj, r_jj
 
 
@@ -84,6 +85,10 @@ def degradation_rate(temperature, current_density):
     return _thinning(temperature, current_density, partials=False)[0]
 
 
+# the (row, column) in (T, I, eps) of each entry of a StackPoint's second partials
+SECOND_PARTIALS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2))
+
+
 @dataclass(frozen=True)
 class StackPoint:
     """The plant model at one or more (T, I, eps) points, with exact partials.
@@ -91,9 +96,11 @@ class StackPoint:
     Voltages are per stack [V], power is the whole plant's draw [kW], the
     rate is the signed membrane-thickness rate [um/min]. Partials are taken
     in temperature [K], stack current [A] and membrane thickness [um]; the
-    rate does not depend on thickness. ``d2v``, ``d2p`` and ``d2rate`` are
-    the Hessians of ``v_tot``, ``p_kw`` and ``rate`` in (T, I, eps), shape
-    ``(..., 3, 3)``. An evaluation without partials leaves them None.
+    rate does not depend on thickness. ``d2v``, ``d2p`` and ``d2rate`` hold
+    the distinct second partials of ``v_tot``, ``p_kw`` and ``rate``, in
+    ``SECOND_PARTIALS`` order; no model term is quadratic in eps, so the
+    eps-eps entry is zero and left out. An evaluation without partials
+    leaves them None.
     """
 
     v_act: np.ndarray
@@ -110,21 +117,9 @@ class StackPoint:
     dp_deps: np.ndarray | None = None
     drate_dT: np.ndarray | None = None
     drate_dI: np.ndarray | None = None
-    d2v: np.ndarray | None = None
-    d2p: np.ndarray | None = None
-    d2rate: np.ndarray | None = None
-
-
-def _hessian3(tt, ti, te, ii, ie):
-    """Symmetric (..., 3, 3) stack in (T, I, eps) with a zero eps-eps entry."""
-    shape = np.broadcast(tt, ti, te, ii, ie).shape
-    h = np.zeros(shape + (3, 3))
-    h[..., 0, 0] = tt
-    h[..., 0, 1] = h[..., 1, 0] = ti
-    h[..., 0, 2] = h[..., 2, 0] = te
-    h[..., 1, 1] = ii
-    h[..., 1, 2] = h[..., 2, 1] = ie
-    return h
+    d2v: tuple | None = None
+    d2p: tuple | None = None
+    d2rate: tuple | None = None
 
 
 def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bool = True) -> StackPoint:
@@ -140,8 +135,10 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     Stacks are in series, so the plant draws V I n plus auxiliaries of
     extra_energy_coeff kWh per kg of hydrogen produced.
 
-    With ``partials`` the first and second partials come too. The values
-    come from the same expressions either way, so they agree to the bit.
+    With ``partials`` the first partials come too, and the distinct
+    entries of the second partials (``StackPoint``), left for the caller to
+    weight and assemble. The values come from the same expressions either
+    way, so they agree to the bit.
     """
     T, I, eps = temperature, current, thickness_um
     acm2 = p.membrane_area_cm2
@@ -191,9 +188,9 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     v_TI = act_per_t / I - dvh_dI * arrhenius
     v_Te = -dvh_deps * arrhenius
     v_II = -dva_dI / I
-    d2v = _hessian3(v_TT, v_TI, v_Te, v_II, ohm_per_um)
+    d2v = (v_TT, v_TI, v_Te, v_II, ohm_per_um)
     # P = V I n/1000 + aux I, so each I partial adds the V partial once more
-    d2p = _hessian3(
+    d2p = (
         v_TT * I * kw_per_va,
         (dv_dT + I * v_TI) * kw_per_va,
         v_Te * I * kw_per_va,
@@ -201,7 +198,7 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
         (dv_deps + I * ohm_per_um) * kw_per_va,
     )
     # j = I / A, so each I partial of the rate divides a j partial by A
-    d2rate = _hessian3(0.0, rate_Tj / acm2, 0.0, rate_jj / acm2**2, 0.0)
+    d2rate = (0.0, rate_Tj / acm2, 0.0, rate_jj / acm2**2, 0.0)
     return StackPoint(
         v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate,
         dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,

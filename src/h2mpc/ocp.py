@@ -122,6 +122,10 @@ class OcpProblem:
     # the Jacobian's (row, column) entries, in the order its values come
     jac_rows: np.ndarray = field(repr=False, default=None)
     jac_cols: np.ndarray = field(repr=False, default=None)
+    # the Jacobian's constant values, zero where the plant model's partials
+    # go, and per such term its (block, term) in the row table and its slice
+    _jac_template: np.ndarray = field(repr=False, default=None)
+    _jac_model: list[tuple[int, int, slice]] = field(repr=False, default_factory=list)
 
     # ------------------------------------------------------------------
     @property
@@ -262,48 +266,64 @@ class OcpProblem:
         ``lam`` holds one multiplier per constraint row, in row order. The
         objective is linear, so ``obj_weight`` adds nothing; the curvature is
         this evaluation's second partials of the plant model, weighted by the
-        multipliers of the rows that evaluate it.
+        multipliers of the rows that evaluate it, assembled only when called.
+        The Jacobian's constant values come from the template ``build``
+        writes; only the plant model's partials are written per evaluation.
         """
         blocks, ph = self._row_blocks(x)
-        values = np.empty(len(self.jac_rows))
-        at = 0
-        for _, res, terms in blocks:
-            for _, partials in terms:
-                values[at : at + len(res)] = partials
-                at += len(res)
+        values = self._jac_template.copy()
+        for b, t, at in self._jac_model:
+            values[at] = blocks[b][2][t][1]
         rows, k, hf = self._rows, len(self._stack_columns()), self.high_fidelity
 
         def curvature(obj_weight: float, lam: np.ndarray) -> np.ndarray:
             power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
-            hess = power[:, None, None] * ph.d2p + lam[rows["voltage"]][:, None, None] * ph.d2v
-            if hf:
-                hess -= (units.STEP_MINUTES * lam[rows["thickness_dyn"]])[:, None, None] * ph.d2rate
-            return hess[:, :k, :k]
+            volt = lam[rows["voltage"]]
+            thin = units.STEP_MINUTES * lam[rows["thickness_dyn"]] if hf else None
+            hess = np.empty((len(power), k, k))
+            # the eps-eps entry is zero in every term, and summed like the rest
+            pairs = electrolyzer.SECOND_PARTIALS + ((2, 2),)
+            for (a, b), d2p, d2v, d2rate in zip(pairs, ph.d2p + (0.0,), ph.d2v + (0.0,), ph.d2rate + (0.0,)):
+                if b < k:
+                    entry = power * d2p + volt * d2v
+                    if hf:
+                        entry = entry - thin * d2rate
+                    hess[:, a, b] = hess[:, b, a] = entry
+            return hess
 
         return self._stacked_residual(blocks), values, curvature
 
     def _fix_layout(self) -> None:
-        """Name the rows, record each block's row slice and declare the
-        Jacobian's entries.
+        """Name the rows, record each block's row slice, declare the
+        Jacobian's entries and write its constant values into a template.
 
         The row table read with a stack point of zeros in place of the plant
         model gives every entry's (row, column), in table order: the order
         in which ``constraints_and_jacobian`` returns their values. No entry
-        repeats.
+        repeats. A scalar partial is a constant and goes into the template;
+        the partials through the plant model, arrays, are left for each
+        evaluation to write.
         """
         zero = np.zeros(self.horizon)
         unevaluated = electrolyzer.StackPoint(*[zero] * len(fields(electrolyzer.StackPoint)))
         blocks, _ = self._row_blocks(np.zeros(self.n), ph=unevaluated)
-        m = 0
-        rows, cols = [], []
-        for name, res, terms in blocks:
+        m = at = 0
+        rows, cols, constants, lengths, self._jac_model = [], [], [], [], []
+        for b, (name, res, terms) in enumerate(blocks):
             self._rows[name] = slice(m, m + len(res))
             block_rows = np.arange(m, m + len(res))
             m += len(res)
-            for columns, _ in terms:
+            for t, (columns, partials) in enumerate(terms):
                 rows.append(block_rows)
                 cols.append(columns)
+                model = isinstance(partials, np.ndarray)
+                constants.append(0.0 if model else partials)
+                lengths.append(len(res))
+                if model:
+                    self._jac_model.append((b, t, slice(at, at + len(res))))
+                at += len(res)
         self.jac_rows, self.jac_cols = np.concatenate(rows), np.concatenate(cols)
+        self._jac_template = np.repeat(constants, lengths)
         self.m_eq = m - len(self.rg_lb)
 
     def _check_finite(self, x: np.ndarray, what: str) -> None:

@@ -29,7 +29,7 @@ from simulated thinning, so strategies are compared on true degradation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -93,33 +93,17 @@ class TrajectoryLog:
         )
 
     def to_csv(self, path: str | Path) -> None:
-        ce, cm, ch = self.cum_elec(), self.cum_mem(), self.cum_h2()
-        lines = [TRAJECTORY_CSV_HEADER]
-        for i, ts in enumerate(self.timestamps):
-            a = self.actions[i]
-            s = self.states[i]
-            cells = [
-                ts.isoformat(),
-                self.strategy,
-                repr(a.p_dam_mw),
-                repr(a.p_rtm_mw),
-                repr(a.temperature_k),
-                repr(a.current_a),
-                repr(a.h2_el_to_plant_kmolhr),
-                repr(a.h2_to_storage_kmolhr),
-                repr(a.h2_from_storage_kmolhr),
-                repr(s.membrane_um),
-                repr(s.storage_kmol),
-                repr(self.dam_price[i]),
-                repr(self.rtm_price[i]),
-                repr(self.elec_cost[i]),
-                repr(self.mem_cost[i]),
-                repr(ce[i]),
-                repr(cm[i]),
-                repr(ch[i]),
-            ]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the log, one ``repr`` per float cell, formatted column by column."""
+        floats = [
+            *([getattr(a, f.name) for a in self.actions] for f in fields(ControlAction)),
+            [s.membrane_um for s in self.states],
+            [s.storage_kmol for s in self.states],
+            self.dam_price, self.rtm_price, self.elec_cost, self.mem_cost,
+            self.cum_elec(), self.cum_mem(), self.cum_h2(),
+        ]
+        stamps = [ts.isoformat() for ts in self.timestamps]
+        rows = map(",".join, zip(stamps, [self.strategy] * len(stamps), *(map(repr, col) for col in floats)))
+        Path(path).write_text("\n".join([TRAJECTORY_CSV_HEADER, *rows]) + "\n")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrajectoryLog":

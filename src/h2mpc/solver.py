@@ -10,10 +10,12 @@ fraction-to-the-boundary rule, a monotone barrier-reduction schedule, and
 an l1-penalty merit line search with one second-order correction (as in
 IPOPT) against the Maratos effect. Second-order information is the exact
 Lagrangian Hessian on the per-step variable blocks the problem declares as
-nonlinear, as the curvature each Jacobian evaluation returns; each scaled
-block is projected onto eigenvalues at or above a floor, the
-convexification acados applies to stage Hessians, so the curvature stays
-positive definite.
+nonlinear, as the curvature each Jacobian evaluation returns; as in IPOPT,
+it is formed only for a Newton step, never at a trial point or at the
+iterate that ends the solve. Each scaled block is projected onto
+eigenvalues at or above a floor, the convexification acados applies to
+stage Hessians, so the curvature stays positive definite: 2x2 blocks in
+closed form, larger ones by LAPACK's symmetric eigensolver.
 
 As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
 column) entries once and its evaluations return only their values. Each
@@ -23,10 +25,12 @@ Jacobian's pattern and keeps the Jacobian as values on it.
 Each Newton step goes through the Schur complement of the barrier
 Hessian, as MPC-tailored interior-point methods do (Rao, Wright and
 Rawlings 1998; HPIPM): H is block diagonal and positive definite, so it is
-inverted block by block and the multiplier step solves the banded
-S = J H^-1 J^T + delta_c I by LAPACK's banded Cholesky, with one step of
-iterative refinement against the whole KKT system, as in IPOPT. The
-least-squares multiplier estimate uses the same kernel with H = I.
+inverted block by block, a 2x2 or 3x3 block in closed form (adjugate over
+determinant, all blocks at once), and the multiplier step solves the banded
+S = J H^-1 J^T + delta_c I by LAPACK's banded Cholesky (``dpbtrf`` and
+``dpbtrs``), with one step of iterative refinement against the whole KKT
+system, as in IPOPT. The least-squares multiplier estimate uses the same
+kernel with H = I.
 
 A solve is ``optimal`` at the first iterate whose scaled KKT error is
 within ``KKT_TOLERANCE`` and whose raw infeasibility is within
@@ -41,8 +45,8 @@ Every variable and range bound must be finite; ``minimize`` rejects a
 problem with an infinite one. Everything is deterministic: identical
 (problem, start, config) yields an identical iterate sequence.
 
-scipy.linalg is imported at the first factorization, so importing the
-package for log analysis loads no solver dependency.
+scipy's LAPACK wrappers are imported at the first factorization, so
+importing the package for log analysis loads no solver dependency.
 """
 
 from __future__ import annotations
@@ -286,11 +290,52 @@ class _ScaledNlp:
 
 def _project_blocks(h: np.ndarray) -> np.ndarray:
     """Each symmetric block of an (H, k, k) stack with its eigenvalues raised
-    to at least ``_EIG_FLOOR``; blocks already there come back unchanged."""
-    w, v = np.linalg.eigh(h)
-    proj = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
-    proj = 0.5 * (proj + proj.transpose(0, 2, 1))
-    return np.where((w[:, 0] >= _EIG_FLOOR)[:, None, None], h, proj)
+    to at least ``_EIG_FLOOR``; blocks already there come back unchanged.
+    2x2 blocks take the closed form, larger ones LAPACK's ``eigh``."""
+    if h.shape[1] != 2:
+        w, v = np.linalg.eigh(h)
+        proj = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
+        proj = 0.5 * (proj + proj.transpose(0, 2, 1))
+        return np.where((w[:, 0] >= _EIG_FLOOR)[:, None, None], h, proj)
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    mid, half = 0.5 * (a + c), 0.5 * np.hypot(a - c, 2.0 * b)
+    # the eigenvalue of larger magnitude, then the other as det / it, which
+    # keeps a nearly singular block's small eigenvalue accurate (as LAPACK's dlaev2)
+    big = mid + np.copysign(half, mid)
+    safe = np.where(big == 0.0, 1.0, big)
+    small = (a / safe) * c - (b / safe) * b
+    lo = np.minimum(big, small)
+    w_lo, w_hi = np.maximum(lo, _EIG_FLOOR), np.maximum(np.maximum(big, small), _EIG_FLOOR)
+    # V diag(w_lo, w_hi) V^T = s I + t N, with N = (h - mid I) / half of eigenvalues -1 and 1
+    s, t = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo) / np.where(half == 0.0, 1.0, half)
+    proj = np.empty_like(h)
+    proj[:, 0, 0] = s + t * (a - mid)
+    proj[:, 1, 1] = s + t * (c - mid)
+    proj[:, 0, 1] = proj[:, 1, 0] = t * b
+    return np.where((lo >= _EIG_FLOOR)[:, None, None], h, proj)
+
+
+def _inverse_blocks(h: np.ndarray) -> np.ndarray:
+    """The inverses of an (H, k, k) stack of symmetric positive definite
+    blocks: adjugate over determinant for k = 2 and 3, LAPACK beyond."""
+    k = h.shape[1]
+    if k not in (2, 3):
+        return np.linalg.inv(h)
+    inv = np.empty_like(h)
+    if k == 2:
+        a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+        r = 1.0 / (a * d - b * b)
+        inv[:, 0, 0], inv[:, 1, 1] = d * r, a * r
+        inv[:, 0, 1] = inv[:, 1, 0] = -b * r
+        return inv
+    a, b, c, d, e, f = h[:, 0, 0], h[:, 0, 1], h[:, 0, 2], h[:, 1, 1], h[:, 1, 2], h[:, 2, 2]
+    c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
+    r = 1.0 / (a * c00 + b * c01 + c * c02)
+    inv[:, 0, 0], inv[:, 1, 1], inv[:, 2, 2] = c00 * r, (a * f - c * c) * r, (a * d - b * b) * r
+    inv[:, 0, 1] = inv[:, 1, 0] = c01 * r
+    inv[:, 0, 2] = inv[:, 2, 0] = c02 * r
+    inv[:, 1, 2] = inv[:, 2, 1] = (b * c - a * e) * r
+    return inv
 
 
 class _SchurKkt:
@@ -300,8 +345,8 @@ class _SchurKkt:
     H = W + diag(h) is block diagonal: the curvature blocks W on the rows of
     ``blk``, and h alone on every other column. With h positive, as the
     barrier's is, H is positive definite, and so is S when J has full row
-    rank or delta_c is positive. H is inverted block by block and S factored
-    by LAPACK's banded Cholesky.
+    rank or delta_c is positive. H is inverted block by block
+    (``_inverse_blocks``) and S factored by LAPACK's banded Cholesky.
 
     The plan, laid out once per solve: an order of the rows that keeps S's
     band narrow (``_band_order``), and the band slot of every term of S on
@@ -388,24 +433,30 @@ class _SchurKkt:
         """A solve of the system with curvature blocks ``w``, diagonal ``h`` and
         Jacobian values ``jac``, refined once against the whole system.
         Raises LinAlgError when S is not numerically positive definite."""
-        from scipy.linalg import cho_solve_banded, cholesky_banded
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
 
         nz, m, rows, cols, blk = self.nz, self.m, self.rows, self.cols, self.blk
         hb = self.blocks(w, h)
-        hb_inv = np.linalg.inv(hb)
+        hb_inv = _inverse_blocks(hb)
         h_inv = 1.0 / h
         if m:
             band = self.band(hb_inv, h_inv, jac, delta_c)
-            chol = cholesky_banded(band, lower=True, check_finite=False)
+            chol, info = dpbtrf(band, lower=1)
             # a pivot left with a few ulps of its diagonal entry is roundoff:
             # its row depends on the rows before it
-            if np.any(chol[0] ** 2 <= _PIVOT_FLOOR * band[0]):
+            if info or np.any(chol[0] ** 2 <= _PIVOT_FLOOR * band[0]):
                 raise np.linalg.LinAlgError("Schur complement is numerically singular")
+
+        # a block's fixed columns read the zero past v's end, and their
+        # products land past the end of the result
+        v_pad = np.zeros(nz + 1)
 
         def apply(blocks, d, v):
             """The block diagonal matrix of ``blocks``, ``d`` off the blocks, times v."""
-            out = np.append(d * v, 0.0)
-            out[blk] = (blocks @ np.append(v, 0.0)[blk][:, :, None])[:, :, 0]
+            v_pad[:nz] = v
+            out = np.empty(nz + 1)
+            out[:nz] = d * v
+            out[blk] = (blocks @ v_pad[blk][:, :, None])[:, :, 0]
             return out[:nz]
 
         def once(r1, r2):
@@ -415,7 +466,7 @@ class _SchurKkt:
             dy = np.empty(m)
             if m:
                 rhs = np.bincount(rows, jac * t[cols], minlength=m) - r2
-                dy[self.order] = cho_solve_banded((chol, True), rhs[self.order], check_finite=False)
+                dy[self.order] = dpbtrs(chol, rhs[self.order], lower=1)[0]
             jt_dy = np.bincount(cols, jac * dy[rows], minlength=nz)
             return apply(hb_inv, h_inv, r1 - jt_dy), dy, jt_dy
 
@@ -514,13 +565,14 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
     for it in range(1, cfg.max_iterations + 1):
         jty = nlp.jac_t_dot(jac, y)
         gL = g + jty - vl + vu
-        kkt_err = _kkt_error(nlp, z, gL, c, y, vl, vu, 0.0)
+        kkt_error_at = _kkt_error(nlp, z, gL, c, y, vl, vu)
+        kkt_err = kkt_error_at(0.0)
 
         if kkt_err <= KKT_TOLERANCE and feas <= FEASIBILITY_TOLERANCE:
             status = "optimal"
             break
 
-        while mu > mu_min and _kkt_error(nlp, z, gL, c, y, vl, vu, mu) <= _KAPPA_EPS * mu:
+        while mu > mu_min and kkt_error_at(mu) <= _KAPPA_EPS * mu:
             mu = max(mu_min, min(_KAPPA_MU * mu, mu**_THETA_MU))
             tau = max(_TAU_MIN, 1.0 - mu)
             nu = 1.0
@@ -600,7 +652,7 @@ def minimize(prob, start: np.ndarray | Start, cfg: SolverConfig) -> SolveResult:
 
     if status == "max_iterations":
         # the last accepted step moved the iterate past its KKT check
-        kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(jac, y) - vl + vu, c, y, vl, vu, 0.0)
+        kkt_err = _kkt_error(nlp, z, g + nlp.jac_t_dot(jac, y) - vl + vu, c, y, vl, vu)(0.0)
     return SolveResult(
         x=nlp.x_full(z),
         kkt_residual=kkt_err,
@@ -621,35 +673,34 @@ def _push_interior(z, lz, uz, kappa):
     return np.minimum(np.maximum(z, lo), hi)
 
 
-def _kkt_error(nlp, z, gL, c, y, vl, vu, mu):
-    """Scaled KKT error of the mu-perturbed conditions: the Lagrangian
-    gradient ``gL`` and complementarity over their multiplier-size scalings,
-    and the scaled constraint residual ``c``."""
-    sd = max(_S_MAX, (np.sum(np.abs(y)) + np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, len(y) + 2 * nlp.nz)) / _S_MAX
-    sc = max(_S_MAX, (np.sum(np.abs(vl)) + np.sum(np.abs(vu))) / max(1, 2 * nlp.nz)) / _S_MAX
-    return max(
-        float(np.max(np.abs(gL), initial=0.0)) / sd,
-        float(np.max(np.abs(c), initial=0.0)),
-        _complementarity(z, vl, vu, nlp.lz, nlp.uz, mu) / sc,
-    )
+def _kkt_error(nlp, z, gL, c, y, vl, vu):
+    """The scaled KKT error of the mu-perturbed conditions as a function of
+    mu: the Lagrangian gradient ``gL`` and complementarity over their
+    multiplier-size scalings, and the scaled constraint residual ``c``.
+    Everything but mu's share of the complementarity is computed once."""
+    sum_vl, sum_vu = np.abs(vl).sum(), np.abs(vu).sum()
+    sd = max(_S_MAX, (np.abs(y).sum() + sum_vl + sum_vu) / max(1, len(y) + 2 * nlp.nz)) / _S_MAX
+    sc = max(_S_MAX, (sum_vl + sum_vu) / max(1, 2 * nlp.nz)) / _S_MAX
+    stationarity = float(np.max(np.abs(gL), initial=0.0)) / sd
+    residual = float(np.max(np.abs(c), initial=0.0))
+    comp_l, comp_u = (z - nlp.lz) * vl, (nlp.uz - z) * vu
 
+    def at(mu: float) -> float:
+        comp = max(float(np.max(np.abs(comp_l - mu), initial=0.0)), float(np.max(np.abs(comp_u - mu), initial=0.0)))
+        return max(stationarity, residual, comp / sc)
 
-def _complementarity(z, vl, vu, lz, uz, mu):
-    return max(
-        float(np.max(np.abs((z - lz) * vl - mu), initial=0.0)),
-        float(np.max(np.abs((uz - z) * vu - mu), initial=0.0)),
-    )
+    return at
 
 
 def _merit(f, z, c, mu, nu, nlp):
     gap_l = z - nlp.lz
     gap_u = nlp.uz - z
-    if np.any(gap_l <= 0.0) or np.any(gap_u <= 0.0):
+    if (gap_l <= 0.0).any() or (gap_u <= 0.0).any():
         return math.inf
     barrier = 0.0
-    barrier -= mu * float(np.sum(np.log(gap_l)))
-    barrier -= mu * float(np.sum(np.log(gap_u)))
-    return f + barrier + nu * float(np.sum(np.abs(c)))
+    barrier -= mu * float(np.log(gap_l).sum())
+    barrier -= mu * float(np.log(gap_u).sum())
+    return f + barrier + nu * float(np.abs(c).sum())
 
 
 def _fraction_to_boundary(z, dz, lz, uz, tau):

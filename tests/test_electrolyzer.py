@@ -154,6 +154,15 @@ def operating_box_points(params, n=64, seed=41):
     ]
 
 
+def dense(entries):
+    """The symmetric (n, 3, 3) stack in (T, I, eps) of a StackPoint's five
+    second-partial entries, zero at eps-eps."""
+    h = np.zeros(np.shape(entries[1]) + (3, 3))
+    for (a, b), entry in zip(el.SECOND_PARTIALS, entries):
+        h[:, a, b] = h[:, b, a] = entry
+    return h
+
+
 class TestPartials:
     VALUES = ("v_act", "v_oc", "v_ohm", "v_tot", "p_kw", "rate")
     FIRST = ("dv_dT", "dv_dI", "dv_deps", "dp_dT", "dp_dI", "dp_deps", "drate_dT", "drate_dI")
@@ -168,6 +177,8 @@ class TestPartials:
                 assert np.array_equal(getattr(sp, name), getattr(full, name)), name
             else:
                 assert getattr(sp, name) is None, name
+        for name in self.SECOND:
+            assert len(getattr(full, name)) == len(el.SECOND_PARTIALS), name
 
     def test_rate_partials_equal_the_expanded_polynomial(self, params):
         # the reference: each partial of the thinning polynomial written out
@@ -180,8 +191,11 @@ class TestPartials:
         a4, a3, a2, a1 = s4 * T + c4, s3 * T + c3, s2 * T + c2, s1 * T + c1
         assert np.array_equal(sp.drate_dT, s4 * j**4 + s3 * j**3 + s2 * j**2 + s1 * j + s0)
         assert np.array_equal(sp.drate_dI, (4.0 * a4 * j**3 + 3.0 * a3 * j**2 + 2.0 * a2 * j + a1) / A)
-        assert np.array_equal(sp.d2rate[:, 0, 1], (4.0 * s4 * j**3 + 3.0 * s3 * j**2 + 2.0 * s2 * j + s1) / A)
-        assert np.array_equal(sp.d2rate[:, 1, 1], (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / A**2)
+        r_TT, r_TI, r_Te, r_II, r_Ie = sp.d2rate
+        assert np.array_equal(r_TI, (4.0 * s4 * j**3 + 3.0 * s3 * j**2 + 2.0 * s2 * j + s1) / A)
+        assert np.array_equal(r_II, (12.0 * a4 * j**2 + 6.0 * a3 * j + 2.0 * a2) / A**2)
+        # the rate is affine in T and independent of eps
+        assert r_TT == r_Te == r_Ie == 0.0
 
     def test_second_partials_match_differences_of_first(self, params):
         def gradients(T, I, eps):
@@ -194,19 +208,19 @@ class TestPartials:
 
         pts = operating_box_points(params)
         sp = el.stack_point(*pts, params)
+        hessians = {name: dense(getattr(sp, name)) for name in self.SECOND}
         for k in range(3):
             up = [x * (1.0 + 1e-6) if i == k else x for i, x in enumerate(pts)]
             down = [x * (1.0 - 1e-6) if i == k else x for i, x in enumerate(pts)]
             g_up, g_down = gradients(*up), gradients(*down)
             for name in self.SECOND:
                 fd = (g_up[name] - g_down[name]) / (up[k] - down[k])[:, None]
-                exact = getattr(sp, name)[:, :, k]
-                assert np.array_equal(exact, getattr(sp, name)[:, k, :]), name  # symmetric
+                exact = hessians[name][:, :, k]
                 # entries relative to themselves, or to their column's scale where near zero
                 scale = np.maximum(np.abs(exact), 1e-3 * np.max(np.abs(exact), axis=0))
                 worst = np.max(np.abs(exact - fd) / np.maximum(scale, 1e-300))
                 assert worst < 1e-6, (name, k, worst)
-        assert not np.any(sp.d2rate[:, 2, :]) and not np.any(sp.d2v[:, 2, 2])
+        assert not np.any(hessians["d2rate"][:, 2, :]) and not np.any(hessians["d2v"][:, 2, 2])
 
 
 def plant_power(current, params):

@@ -351,6 +351,19 @@ class TestRowTable:
         assert np.array_equal(prob.jac_cols, np.concatenate(cols))
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_jacobian_values_are_the_row_tables_partials(self, strategy, params, state):
+        # the constant entries come from the template written at build, the
+        # plant model's from the evaluation: together, every term's partials
+        # in table order, bit for bit
+        prob = commitment_problem(strategy, state, params)
+        x = prob.lb + np.random.default_rng(23).uniform(0.25, 0.75, prob.n) * (prob.ub - prob.lb)
+        blocks, _ = prob._row_blocks(x)
+        expected = np.concatenate([
+            np.broadcast_to(partials, len(res)) for _, res, terms in blocks for _, partials in terms
+        ])
+        assert np.array_equal(prob.constraints_and_jacobian(x)[1], expected)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_declared_entries_are_unique_and_inside_their_step(self, strategy, params, state):
         # a row of step t touches step t's variables, its hour's day-ahead
         # quantity and the states at the step's end (t + 1)
@@ -400,6 +413,30 @@ class TestHessianBlocks:
             scale = np.maximum(np.abs(exact), 1e-3 * np.max(np.abs(exact), axis=0))
             worst = np.max(np.abs(exact - fd) / np.maximum(scale, 1e-300))
             assert worst < 1e-6, (a, worst)
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_blocks_equal_the_weighted_dense_hessians(self, strategy, params, state):
+        # the oracle: the plant model's second partials as dense (H, 3, 3)
+        # stacks, weighted by the multipliers of the rows that evaluate them
+        # and cut to the block size, bit for bit, at random box points
+        prob = commitment_problem(strategy, state, params)
+        rng = np.random.default_rng(24)
+        rows, k = prob._rows, prob.nonlinear_blocks().shape[1]
+        for _ in range(5):
+            x = prob.lb + rng.uniform(0.0, 1.0, prob.n) * (prob.ub - prob.lb)
+            lam = rng.normal(scale=1e3, size=prob.m_eq + len(prob.rg_lb))
+            sp = prob._stack_point(x, partials=True)
+            d2v, d2p, d2rate = (np.zeros((prob.horizon, 3, 3)) for _ in range(3))
+            for dense, entries in ((d2v, sp.d2v), (d2p, sp.d2p), (d2rate, sp.d2rate)):
+                for (a, b), entry in zip(el.SECOND_PARTIALS, entries):
+                    dense[:, a, b] = dense[:, b, a] = entry
+            power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
+            ref = power[:, None, None] * d2p + lam[rows["voltage"]][:, None, None] * d2v
+            if prob.high_fidelity:
+                ref -= (units.STEP_MINUTES * lam[rows["thickness_dyn"]])[:, None, None] * d2rate
+            got = prob.constraints_and_jacobian(x)[2](1.0, lam)
+            assert got.shape == (prob.horizon, k, k)
+            assert got.tobytes() == np.ascontiguousarray(ref[:, :k, :k]).tobytes()
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_blocks_reuse_the_jacobian_evaluation(self, strategy, params, state, monkeypatch):

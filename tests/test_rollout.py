@@ -315,6 +315,30 @@ class TestTrajectoryCsv:
         assert back.h2_ton == pytest.approx(hf_spike_log.h2_ton, abs=1e-12)
         assert back.cum_h2()[-1] == pytest.approx(hf_spike_log.cum_h2()[-1], abs=1e-9)
 
+    def test_columns_write_the_bytes_of_a_row_writer(self, hf_spike_log, tmp_path):
+        # the reference formats row by row, one repr per cell; signed zeros
+        # and subnormals must keep their bits through either
+        log = dataclasses.replace(
+            hf_spike_log,
+            actions=[dataclasses.replace(hf_spike_log.actions[0], p_rtm_mw=-0.0), *hf_spike_log.actions[1:]],
+            rtm_price=[5e-324, -0.0, *hf_spike_log.rtm_price[2:]],
+            mem_cost=[*hf_spike_log.mem_cost[:-1], 2.2250738585072014e-308 / 3.0],
+        )
+        ce, cm, ch = log.cum_elec(), log.cum_mem(), log.cum_h2()
+        lines = [rollout.TRAJECTORY_CSV_HEADER]
+        for i, ts in enumerate(log.timestamps):
+            a, st = log.actions[i], log.states[i]
+            cells = [ts.isoformat(), log.strategy, repr(a.p_dam_mw), repr(a.p_rtm_mw), repr(a.temperature_k),
+                     repr(a.current_a), repr(a.h2_el_to_plant_kmolhr), repr(a.h2_to_storage_kmolhr),
+                     repr(a.h2_from_storage_kmolhr), repr(st.membrane_um), repr(st.storage_kmol),
+                     repr(log.dam_price[i]), repr(log.rtm_price[i]), repr(log.elec_cost[i]),
+                     repr(log.mem_cost[i]), repr(ce[i]), repr(cm[i]), repr(ch[i])]
+            lines.append(",".join(cells))
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert b",-0.0," in path.read_bytes() and b",5e-324," in path.read_bytes()
+
     def test_write_is_deterministic(self, hf_spike_log, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         hf_spike_log.to_csv(a)

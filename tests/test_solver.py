@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ import scipy.sparse as sp
 
 from _oracles import commitment_problem, hourly, jacobian, state_at
 from h2mpc import electrolyzer as el
-from h2mpc import ocp, solver, units
+from h2mpc import market, ocp, rollout, solver, units
 from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
     _EIG_FLOOR, _PUSH_COLD, FEASIBILITY_TOLERANCE, KKT_TOLERANCE, Multipliers, SolverConfig, Start, _SchurKkt,
-    _ScaledNlp, _project_blocks, _push_interior, _solve_kkt, minimize,
+    _ScaledNlp, _inverse_blocks, _project_blocks, _push_interior, _solve_kkt, minimize,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -460,12 +461,14 @@ class TestSchurKkt:
 class TestCurvature:
     """Exact stage Hessians, projected onto eigenvalues at or above the floor."""
 
-    def test_projected_blocks_are_symmetric_and_above_the_floor(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_projected_blocks_are_symmetric_and_above_the_floor(self, k):
+        # k = 2 takes the closed form, k = 3 LAPACK's eigh
         rng = np.random.default_rng(17)
-        R = rng.normal(size=(200, 3, 3))
+        R = rng.normal(size=(200, k, k))
         blocks = R + R.transpose(0, 2, 1)  # mostly indefinite
-        blocks[::4] = R[::4] @ R[::4].transpose(0, 2, 1) + 0.1 * np.eye(3)  # definite
-        blocks[1::4, 2, :] = blocks[1::4, :, 2] = 0.0  # singular, as a fixed column leaves it
+        blocks[::4] = R[::4] @ R[::4].transpose(0, 2, 1) + 0.1 * np.eye(k)  # definite
+        blocks[1::4, k - 1, :] = blocks[1::4, :, k - 1] = 0.0  # singular, as a fixed column leaves it
         proj = _project_blocks(blocks)
         assert np.array_equal(proj, proj.transpose(0, 2, 1))
         norms = np.max(np.abs(blocks), axis=(1, 2))
@@ -477,6 +480,13 @@ class TestCurvature:
         w, v = np.linalg.eigh(blocks[~definite])
         ref = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
         assert np.allclose(proj[~definite], ref, rtol=0.0, atol=1e-12 * norms.max())
+
+    def test_projection_of_a_multiple_of_the_identity(self):
+        # equal eigenvalues leave the closed form no eigenvector to take
+        blocks = np.array([[[-2.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 3.0]]])
+        proj = _project_blocks(blocks)
+        assert np.array_equal(proj[:2], np.broadcast_to(_EIG_FLOOR * np.eye(2), (2, 2, 2)))
+        assert np.array_equal(proj[2], blocks[2])
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
     def test_scaled_curvature_projects_the_free_columns(self, strategy, params, state):
@@ -527,6 +537,69 @@ class TestCurvature:
         assert res.ok
         assert np.max(np.abs(res.x - [1.0, 0.0])) < 1e-8
         assert [rec.alpha for rec in res.log] == [1.0] * len(res.log)
+
+
+class TestBlockKernels:
+    """The stage-block inverse and the solves around it, on the blocks and
+    problems of the bundled price data."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self, params, dam_csv_path, rtm_csv_path):
+        dam = market.load_price_csv(dam_csv_path, resolution_minutes=60)
+        rtm = market.load_price_csv(rtm_csv_path, resolution_minutes=15)
+        state = PlantState(membrane_um=params.membrane_thickness_initial,
+                           storage_kmol=0.6 * params.storage_capacity, clock=datetime(2022, 1, 2))
+        return dam, rtm, state
+
+    def test_closed_form_inverse_is_as_accurate_as_lapack(self, params, bundled, monkeypatch):
+        # every H block factored over the bundled compare day, 3x3 for the
+        # high-fidelity strategies and 2x2 for the others, some with
+        # condition numbers near 1e18
+        dam, rtm, state = bundled
+        captured = []
+        real = _SchurKkt.blocks
+        monkeypatch.setattr(_SchurKkt, "blocks", lambda kkt, w, h: captured.append(real(kkt, w, h)) or captured[-1])
+        day = date(2022, 1, 2)
+        rollout.compare(list(StrategyKind), state, dam, rtm, day, day, params)
+        for k in (2, 3):
+            H = np.concatenate([hb for hb in captured if hb.shape[1] == k])
+            assert len(H) > 10_000
+            ours = np.max(np.abs(H @ _inverse_blocks(H) - np.eye(k)))
+            lapack = np.max(np.abs(H @ np.linalg.inv(H) - np.eye(k)))
+            assert ours <= 2.0 * lapack, (k, ours, lapack)
+
+    def test_ill_conditioned_warm_solve_takes_no_more_work(self, params, bundled, monkeypatch):
+        # hf-ss's 00:15 solve of the bundled day: 95 steps, warm, barrier
+        # diagonals from 7e-7 to 1.5e13, where the Schur path loses accuracy
+        # and the line search cuts the first steps short. It took 4
+        # iterations and 51 residual-only trials when the blocks were
+        # inverted by LAPACK
+        dam, rtm, state = bundled
+        caught = {}
+        real_solve = rollout.solve
+
+        def solve(prob, start, cfg):
+            if prob.start_time == datetime(2022, 1, 2, 0, 15):
+                caught["args"] = (prob, start, cfg)
+            return real_solve(prob, start, cfg)
+
+        monkeypatch.setattr(rollout, "solve", solve)
+        day = date(2022, 1, 2)
+        rollout.run(StrategyKind.HF_SS, state, dam, rtm, day, day, params)
+        prob, start, cfg = caught["args"]
+        assert prob.horizon == 95 and cfg.initialization == "warm"
+        trials = []
+        real_constraints = _ScaledNlp.constraints
+
+        def constraints(nlp, z, need_jac=True):
+            trials.append(not need_jac)
+            return real_constraints(nlp, z, need_jac)
+
+        monkeypatch.setattr(_ScaledNlp, "constraints", constraints)
+        res = minimize(prob, start, cfg)
+        assert res.ok
+        assert res.iterations <= 4
+        assert sum(trials) <= 51
 
 
 def _electrolyzer_problem(params, state, H, seed):
