@@ -9,8 +9,9 @@ Subcommands:
            | cumcost)
 
 Dates are local market time, matching the price files. Exit codes: 0 on
-success, 2 on input errors, 3 on solver aborts (no optimal solve at a
-commitment step, so no commitment could be frozen).
+success, 2 on input errors (including a date window the price files do
+not cover), 3 on solver aborts (no optimal solve at a commitment step, so
+no commitment could be frozen).
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ def _cmd_compare(args) -> int:
     if not names:
         raise _InputError("--strategies is empty")
     strategies = [ocp.StrategyKind.parse(s) for s in names]
+    if len(set(strategies)) < len(strategies):
+        raise _InputError(f"--strategies repeats a strategy: {args.strategies}")
     p, dam, rtm, start, end, state = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

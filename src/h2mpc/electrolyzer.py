@@ -4,8 +4,9 @@ One model serves both the simulator and the high-fidelity controller:
 ``stack_point`` evaluates the three-term stack voltage, total plant power
 and the empirical membrane-thinning rate at the configured chamber
 pressures, with their exact first and second partial derivatives on
-request. ``step`` advances the plant state with forward Euler, at the
-controller's generation slope and membrane price (``PlantParams``).
+request, and their weighted second partials as the controller's
+curvature blocks. ``step`` advances the plant state with forward Euler,
+at the controller's generation slope and membrane price (``PlantParams``).
 
 Functions accept floats or numpy arrays (everything is written with numpy
 ufuncs), which the optimal-control transcription relies on.
@@ -20,7 +21,6 @@ from datetime import timedelta
 import numpy as np
 
 from . import units
-from .market import power_balance
 from .params import FARADAY, GAS_CONSTANT, ControlAction, PlantParams, PlantState
 
 # reversible cell potential E_rev(T) = 1.299 - 0.9e-3 (T - 298) [V]
@@ -95,9 +95,11 @@ class StackPoint:
 
     Voltages are per stack [V], power is the whole plant's draw [kW], the
     rate is the signed membrane-thickness rate [um/min]. Partials are taken
-    in temperature [K], stack current [A] and membrane thickness [um]; the
-    rate does not depend on thickness. ``d2v``, ``d2p`` and ``d2rate`` hold
-    the distinct second partials of ``v_tot``, ``p_kw`` and ``rate``, in
+    in temperature [K], stack current [A] and membrane thickness [um]:
+    ``dv``, ``dp`` and ``drate`` hold the first partials of ``v_tot``,
+    ``p_kw`` and ``rate`` in that (T, I, eps) order, ``drate`` without the
+    eps entry, as the rate does not depend on thickness. ``d2v``, ``d2p``
+    and ``d2rate`` hold their distinct second partials, in
     ``SECOND_PARTIALS`` order; no model term is quadratic in eps, so the
     eps-eps entry is zero and left out. An evaluation without partials
     leaves them None.
@@ -109,17 +111,28 @@ class StackPoint:
     v_tot: np.ndarray
     p_kw: np.ndarray
     rate: np.ndarray
-    dv_dT: np.ndarray | None = None
-    dv_dI: np.ndarray | None = None
-    dv_deps: np.ndarray | None = None
-    dp_dT: np.ndarray | None = None
-    dp_dI: np.ndarray | None = None
-    dp_deps: np.ndarray | None = None
-    drate_dT: np.ndarray | None = None
-    drate_dI: np.ndarray | None = None
+    dv: tuple | None = None
+    dp: tuple | None = None
+    drate: tuple | None = None
     d2v: tuple | None = None
     d2p: tuple | None = None
     d2rate: tuple | None = None
+
+    def hessian(self, w_v, w_p, w_rate, k: int) -> np.ndarray:
+        """The (n, k, k) Hessian of w_v v_tot + w_p p_kw + w_rate rate in the
+        first ``k`` of (T, I, eps), for per-point weights; a ``w_rate`` of
+        None leaves the rate out."""
+        hess = np.empty((len(w_v), k, k))
+        # the eps-eps entry is zero in every term; summed like the rest, its
+        # zero takes the sign the weighted sum gives it
+        pairs = SECOND_PARTIALS + ((2, 2),)
+        for (a, b), d2v, d2p, d2rate in zip(pairs, self.d2v + (0.0,), self.d2p + (0.0,), self.d2rate + (0.0,)):
+            if b < k:
+                entry = w_p * d2p + w_v * d2v
+                if w_rate is not None:
+                    entry = entry + w_rate * d2rate
+                hess[:, a, b] = hess[:, b, a] = entry
+        return hess
 
 
 def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bool = True) -> StackPoint:
@@ -135,9 +148,8 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     Stacks are in series, so the plant draws V I n plus auxiliaries of
     extra_energy_coeff kWh per kg of hydrogen produced.
 
-    With ``partials`` the first partials come too, and the distinct
-    entries of the second partials (``StackPoint``), left for the caller to
-    weight and assemble. The values come from the same expressions either
+    With ``partials`` the first and second partials come too
+    (``StackPoint``). The values come from the same expressions either
     way, so they agree to the bit.
     """
     T, I, eps = temperature, current, thickness_um
@@ -201,8 +213,8 @@ def stack_point(temperature, current, thickness_um, p: PlantParams, partials: bo
     d2rate = (0.0, rate_Tj / acm2, 0.0, rate_jj / acm2**2, 0.0)
     return StackPoint(
         v_act=v_act, v_oc=v_oc, v_ohm=v_ohm, v_tot=v_tot, p_kw=p_kw, rate=rate,
-        dv_dT=dv_dT, dv_dI=dv_dI, dv_deps=dv_deps, dp_dT=dp_dT, dp_dI=dp_dI, dp_deps=dp_deps,
-        drate_dT=rate_T, drate_dI=rate_j / acm2, d2v=d2v, d2p=d2p, d2rate=d2rate,
+        dv=(dv_dT, dv_dI, dv_deps), dp=(dp_dT, dp_dI, dp_deps), drate=(rate_T, rate_j / acm2),
+        d2v=d2v, d2p=d2p, d2rate=d2rate,
     )
 
 
@@ -212,20 +224,13 @@ class StepResult:
 
     state: PlantState
     h2_produced_ton: float
-    power_kw: float
-    membrane_loss_um: float
     membrane_cost_usd: float
-    power_balance_residual_mwh: float
 
 
-def step(
-    state: PlantState,
-    action: ControlAction,
-    p: PlantParams,
-    setpoint_tol_kmolhr: float | None = None,
-) -> StepResult:
+def step(state: PlantState, action: ControlAction, p: PlantParams, setpoint_tol_kmolhr: float) -> StepResult:
     """Advance the plant one market step (``units.STEP_MINUTES``) with
-    forward Euler. Chamber pressures are the configured quasi-steady values.
+    forward Euler. The plant supply must meet the setpoint within
+    ``setpoint_tol_kmolhr``; membrane thickness follows ``degradation_rate``.
     """
     action.validate(p)
 
@@ -243,11 +248,10 @@ def step(
         )
 
     supply = action.h2_el_to_plant_kmolhr + action.h2_from_storage_kmolhr
-    tol = 1e-3 * p.h2_setpoint if setpoint_tol_kmolhr is None else setpoint_tol_kmolhr
-    if abs(supply - p.h2_setpoint) > tol:
+    if abs(supply - p.h2_setpoint) > setpoint_tol_kmolhr:
         raise StepViolation(
             f"plant supply {supply:.4f} kmol/hr misses the {p.h2_setpoint} "
-            f"kmol/hr setpoint beyond tolerance {tol}"
+            f"kmol/hr setpoint beyond tolerance {setpoint_tol_kmolhr}"
         )
 
     storage_next = state.storage_kmol + units.STEP_HOURS * (
@@ -261,24 +265,18 @@ def step(
     # within the tolerance, the state lands in the box every consumer checks
     storage_next = min(max(storage_next, p.storage_min), p.storage_max)
 
-    sp = stack_point(action.temperature_k, action.current_a, state.membrane_um, p, partials=False)
-    membrane_next = state.membrane_um + sp.rate * units.STEP_MINUTES
+    rate = degradation_rate(action.temperature_k, action.current_a / p.membrane_area_cm2)
+    membrane_next = state.membrane_um + rate * units.STEP_MINUTES
     if membrane_next <= 0.0:
         raise StepViolation("membrane thickness would reach zero")
-
-    loss_um = state.membrane_um - membrane_next
 
     new_state = PlantState(
         membrane_um=membrane_next,
         storage_kmol=storage_next,
         clock=state.clock + timedelta(minutes=units.STEP_MINUTES),
     )
-    residual = power_balance(action.p_dam_mw, action.p_rtm_mw, sp.p_kw)
     return StepResult(
         state=new_state,
         h2_produced_ton=units.kmol_to_ton_h2(gen_kmolhr * units.STEP_HOURS),
-        power_kw=sp.p_kw,
-        membrane_loss_um=loss_um,
-        membrane_cost_usd=p.membrane_cost_per_um * loss_um,
-        power_balance_residual_mwh=residual,
+        membrane_cost_usd=p.membrane_cost_per_um * (state.membrane_um - membrane_next),
     )

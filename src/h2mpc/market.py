@@ -48,6 +48,8 @@ def load_price_csv(path: str | Path, resolution_minutes: int) -> PriceSeries:
                 ts = datetime.fromisoformat(row[0])
             except ValueError as exc:
                 raise PriceFileError(f"{path}:{lineno}: unparseable timestamp {row[0]!r}") from exc
+            if ts.tzinfo is not None:
+                raise PriceFileError(f"{path}:{lineno}: offset timestamp {row[0]!r}; price files use local market time")
             try:
                 price = float(row[1])
             except ValueError as exc:
@@ -73,11 +75,6 @@ def load_price_csv(path: str | Path, resolution_minutes: int) -> PriceSeries:
     if resolution_minutes == 60:
         prices = [p for p in prices for _ in range(units.STEPS_PER_HOUR)]
     return PriceSeries(start=start, prices=tuple(prices))
-
-
-def power_balance(p_dam_mw: float, p_rtm_mw: float, p_plant_kw: float) -> float:
-    """Energy-balance residual [MWh] for one step; zero when balanced."""
-    return (p_dam_mw + p_rtm_mw) * units.STEP_HOURS - p_plant_kw * units.STEP_HOURS / 1000.0
 
 
 def settle(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Sequence
 
@@ -211,9 +211,7 @@ class OcpProblem:
         stack = self._stack_columns()
         # partials on the stack-point inputs, in (T, I, eps) order; zip
         # stops at the shorter of these and ``stack``
-        dv = (ph.dv_dT, ph.dv_dI, ph.dv_deps) if jac else ()
-        dp = (ph.dp_dT, ph.dp_dI, ph.dp_deps) if jac else ()
-        drate = (ph.drate_dT, ph.drate_dI) if jac else ()
+        dv, dp, drate = (ph.dv, ph.dp, ph.drate) if jac else ((), (), ())
 
         blocks = [(
             "mass_split",
@@ -265,8 +263,8 @@ class OcpProblem:
 
         ``lam`` holds one multiplier per constraint row, in row order. The
         objective is linear, so ``obj_weight`` adds nothing; the curvature is
-        this evaluation's second partials of the plant model, weighted by the
-        multipliers of the rows that evaluate it, assembled only when called.
+        the plant model's, at this evaluation, weighted by the multipliers of
+        the rows that evaluate it, assembled only when called.
         The Jacobian's constant values come from the template ``build``
         writes; only the plant model's partials are written per evaluation.
         """
@@ -278,18 +276,8 @@ class OcpProblem:
 
         def curvature(obj_weight: float, lam: np.ndarray) -> np.ndarray:
             power = lam[rows["plant_power"]] - lam[rows["power_balance"]] / 1000.0
-            volt = lam[rows["voltage"]]
-            thin = units.STEP_MINUTES * lam[rows["thickness_dyn"]] if hf else None
-            hess = np.empty((len(power), k, k))
-            # the eps-eps entry is zero in every term, and summed like the rest
-            pairs = electrolyzer.SECOND_PARTIALS + ((2, 2),)
-            for (a, b), d2p, d2v, d2rate in zip(pairs, ph.d2p + (0.0,), ph.d2v + (0.0,), ph.d2rate + (0.0,)):
-                if b < k:
-                    entry = power * d2p + volt * d2v
-                    if hf:
-                        entry = entry - thin * d2rate
-                    hess[:, a, b] = hess[:, b, a] = entry
-            return hess
+            thin = -units.STEP_MINUTES * lam[rows["thickness_dyn"]] if hf else None
+            return ph.hessian(lam[rows["voltage"]], power, thin, k)
 
         return self._stacked_residual(blocks), values, curvature
 
@@ -305,7 +293,7 @@ class OcpProblem:
         evaluation to write.
         """
         zero = np.zeros(self.horizon)
-        unevaluated = electrolyzer.StackPoint(*[zero] * len(fields(electrolyzer.StackPoint)))
+        unevaluated = electrolyzer.StackPoint(*[zero] * 6, dv=(zero,) * 3, dp=(zero,) * 3, drate=(zero,) * 2)
         blocks, _ = self._row_blocks(np.zeros(self.n), ph=unevaluated)
         m = at = 0
         rows, cols, constants, lengths, self._jac_model = [], [], [], [], []

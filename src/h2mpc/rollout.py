@@ -69,7 +69,6 @@ class TrajectoryLog:
     flagged: list[bool] = field(default_factory=list)
     solver_iterations: list[int] = field(default_factory=list)
     warm_started: list[bool] = field(default_factory=list)
-    power_residual_mwh: list[float] = field(default_factory=list)
     commitments: dict[date, DamCommitment] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -270,15 +269,17 @@ def run(
 ) -> TrajectoryLog:
     """Roll the closed loop from start_day 00:00 through end_day 23:45.
 
-    Raises RolloutError when no solve of a commitment step (the 09:00
-    solve or the first step's bootstrap) is optimal: no commitment is
-    frozen from a failed solve.
+    Raises ValueError for a window that ends before it starts, a state
+    clock off its first midnight, or prices that do not cover the run plus
+    one lookahead day. Raises RolloutError when no solve of a commitment
+    step (the 09:00 solve or the first step's bootstrap) is optimal: no
+    commitment is frozen from a failed solve.
     """
     if end_day < start_day:
-        raise RolloutError("end day precedes start day")
+        raise ValueError("end day precedes start day")
     start_ts = datetime(start_day.year, start_day.month, start_day.day)
     if initial_state.clock != start_ts:
-        raise RolloutError(
+        raise ValueError(
             f"initial state clock {initial_state.clock} must sit at {start_ts}"
         )
     initial_state.validate(p)
@@ -375,7 +376,6 @@ def run(
         log.flagged.append(not sol.ok)
         log.solver_iterations.append(sol.iterations)
         log.warm_started.append(warm)
-        log.power_residual_mwh.append(result.power_balance_residual_mwh)
 
         state = result.state
         prev_action = action
@@ -391,7 +391,7 @@ def _check_price_cover(series: PriceSeries, start_ts: datetime, n_steps: int, la
     try:
         series.window(start_ts, n_steps)
     except ValueError as exc:
-        raise RolloutError(f"{label} prices do not cover the run plus one lookahead day: {exc}") from exc
+        raise ValueError(f"{label} prices do not cover the run plus one lookahead day: {exc}") from exc
 
 
 def _verify_ledger(log: TrajectoryLog) -> None:

@@ -101,6 +101,29 @@ class TestRun:
         ])
         assert code == 2
 
+    def test_window_the_prices_do_not_cover_is_input_error(self, tmp_path, capsys):
+        # the files cover Jan 3 and its lookahead day only
+        dam, rtm = write_price_files(tmp_path)
+        code = cli.main([
+            "run", "--strategy", "co", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", "2022-01-04", "--end", "2022-01-04", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: DAM prices do not cover the run plus one lookahead day" in err
+        assert "solver abort" not in err
+
+    def test_offset_price_timestamps_are_input_error(self, tmp_path, capsys):
+        dam, rtm = write_price_files(tmp_path)
+        lines = dam.read_text().splitlines()
+        dam.write_text("\n".join(lines[:1] + [line.replace(",", "+00:00,") for line in lines[1:]]) + "\n")
+        code = cli.main([
+            "run", "--strategy", "co", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", DAY, "--end", DAY, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "dam.csv:2: offset timestamp" in capsys.readouterr().err
+
     def test_failed_bootstrap_solve_is_solver_abort(self, tmp_path, monkeypatch, capsys):
         real_solve = rollout.solve
 
@@ -264,3 +287,14 @@ class TestCompare:
             "--start", DAY, "--end", DAY, "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_repeated_strategy_is_input_error(self, tmp_path, capsys):
+        # one log and one cost column per strategy: a repeat would run twice for nothing
+        dam, rtm = write_price_files(tmp_path)
+        code = cli.main([
+            "compare", "--strategies", "co,lf-ms,CO", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", DAY, "--end", DAY, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "repeats a strategy" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2mpc import market, units
-from h2mpc.market import PriceFileError, load_price_csv, power_balance, settle, step_in_day
+from h2mpc.market import PriceFileError, load_price_csv, settle, step_in_day
 from h2mpc.params import ControlAction
 
 
@@ -65,6 +65,17 @@ class TestLoadPriceCsv:
         with pytest.raises(PriceFileError, match=r"dam.csv:3.*price"):
             load_price_csv(path, resolution_minutes=60)
 
+    def test_offset_timestamps_rejected(self, tmp_path):
+        # price files are in local market time; an offset stamp cannot be
+        # compared with the run's naive clock
+        path = tmp_path / "dam.csv"
+        write_prices(path, [f"{row[:19]}+00:00{row[19:]}" for row in hourly_rows()])
+        with pytest.raises(PriceFileError, match=r"dam.csv:2: offset timestamp .*local market time"):
+            load_price_csv(path, resolution_minutes=60)
+        write_prices(path, hourly_rows()[:2] + ["2022-01-03T02:00:00-06:00,22.0"])
+        with pytest.raises(PriceFileError, match=r"dam.csv:4: offset timestamp"):
+            load_price_csv(path, resolution_minutes=60)
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "dam.csv"
         path.write_text("time,price\n2022-01-03T00:00:00,20.0\n")
@@ -89,18 +100,6 @@ class TestLoadPriceCsv:
         assert min(loaded_week) == min(week)
         assert max(loaded_week) == max(week)
         assert math.fsum(loaded_week) == pytest.approx(math.fsum(week), abs=1e-9)
-
-
-class TestPowerBalance:
-    def test_balanced(self):
-        assert power_balance(50.0, 0.0, 50000.0) == 0.0
-
-    def test_sell_back_balances(self):
-        assert power_balance(80.0, -30.0, 50000.0) == 0.0
-
-    def test_floor_deficit(self):
-        # plant at the 10% floor with no purchases is 2.75 MWh short
-        assert power_balance(0.0, 0.0, 11000.0) == pytest.approx(-2.75)
 
 
 def action(p_dam, p_rtm):

@@ -162,7 +162,7 @@ class TestReceedingHorizonMechanics:
 class TestRunValidation:
     def test_requires_midnight_clock(self, plant):
         bad = PlantState(178.0, 4200.0, datetime(2022, 1, 3, 0, 15))
-        with pytest.raises(RolloutError, match="must sit at"):
+        with pytest.raises(ValueError, match="must sit at"):
             rollout.run(
                 ocp.StrategyKind.CO, bad, flat_two_days(25.0), flat_two_days(25.0),
                 START, START, plant,
@@ -170,14 +170,14 @@ class TestRunValidation:
 
     def test_requires_price_coverage(self, plant, start_state):
         short = series([25.0] * 100)  # not enough lookahead
-        with pytest.raises(RolloutError, match="prices do not cover"):
+        with pytest.raises(ValueError, match="prices do not cover"):
             rollout.run(
                 ocp.StrategyKind.CO, start_state, short, flat_two_days(25.0),
                 START, START, plant,
             )
 
     def test_end_before_start(self, plant, start_state):
-        with pytest.raises(RolloutError, match="precedes"):
+        with pytest.raises(ValueError, match="precedes"):
             rollout.run(
                 ocp.StrategyKind.CO, start_state, flat_two_days(25.0),
                 flat_two_days(25.0), START, START - timedelta(days=1), plant,
@@ -276,7 +276,11 @@ class TestFailedSolveFallback:
             assert act.p_rtm_mw == 0.0
         else:
             assert act.current_a == prev.current_a
-        assert abs(log.power_residual_mwh[FAILED_STEP]) <= 1e-9
+        # the fallback buys the plant's draw at its pre-step state
+        membrane = log.states[FAILED_STEP - 1].membrane_um
+        draw_kw = el.stack_point(act.temperature_k, act.current_a, membrane, plant, partials=False).p_kw
+        bought_mwh = (act.p_dam_mw + act.p_rtm_mw) * units.STEP_HOURS
+        assert abs(bought_mwh - draw_kw * units.STEP_HOURS / 1000.0) <= 1e-9
         supply = act.h2_el_to_plant_kmolhr + act.h2_from_storage_kmolhr
         assert abs(supply - plant.h2_setpoint) < 1e-9
         # the fallback splits the controller's generation, the slope times the current
