@@ -25,16 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, market, ocp, rollout, units
-from .params import CostLedger, ParamError, PlantParams, PlantState, load_params, validate_params
+from .params import CostLedger, PlantParams, PlantState, load_params, validate_params
 from .rollout import RolloutError, TrajectoryLog
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
-
-
-class _InputError(Exception):
-    pass
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,7 +42,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_analyze(args)
-    except (_InputError, ParamError, market.PriceFileError, FileNotFoundError, ValueError) as exc:
+    # ParamError and PriceFileError are ValueErrors, file-system errors OSErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RolloutError as exc:
@@ -97,9 +94,7 @@ def _load_inputs(args):
         start = date.fromisoformat(args.start)
         end = date.fromisoformat(args.end)
     except ValueError as exc:
-        raise _InputError(f"bad date: {exc}") from None
-    if end < start:
-        raise _InputError("--end precedes --start")
+        raise ValueError(f"bad date: {exc}") from None
     storage0 = args.storage0 if args.storage0 is not None else 0.6 * p.storage_capacity
     state = PlantState(
         membrane_um=p.membrane_thickness_initial,
@@ -144,10 +139,10 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     names = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not names:
-        raise _InputError("--strategies is empty")
+        raise ValueError("--strategies is empty")
     strategies = [ocp.StrategyKind.parse(s) for s in names]
     if len(set(strategies)) < len(strategies):
-        raise _InputError(f"--strategies repeats a strategy: {args.strategies}")
+        raise ValueError(f"--strategies repeats a strategy: {args.strategies}")
     p, dam, rtm, start, end, state = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

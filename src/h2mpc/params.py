@@ -136,8 +136,11 @@ def validate_params(p: PlantParams) -> PlantParams:
     for lo_name, hi_name in _MIN_MAX_PAIRS:
         if not getattr(p, lo_name) < getattr(p, hi_name):
             raise ParamError(f"{lo_name}/{hi_name}: bounds must satisfy min < max")
-    if not p.storage_frac_max <= 1.0:
-        raise ParamError("storage_frac_max: must be <= 1")
+    if not p.storage_frac_min >= 0.0:
+        raise ParamError("storage_frac_min: must be >= 0")
+    for name in ("storage_frac_max", "faraday_efficiency"):
+        if not getattr(p, name) <= 1.0:
+            raise ParamError(f"{name}: must be <= 1")
     if not (p.h2_gen_min <= p.h2_setpoint <= p.h2_gen_max):
         raise ParamError("h2_setpoint: must lie within [h2_gen_min, h2_gen_max]")
     lo, hi = p.current_bounds()

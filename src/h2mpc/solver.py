@@ -12,10 +12,10 @@ IPOPT) against the Maratos effect. Second-order information is the exact
 Lagrangian Hessian on the per-step variable blocks the problem declares as
 nonlinear, as the curvature each Jacobian evaluation returns; as in IPOPT,
 it is formed only for a Newton step, never at a trial point or at the
-iterate that ends the solve. Each scaled block is projected onto
-eigenvalues at or above a floor, the convexification acados applies to
-stage Hessians, so the curvature stays positive definite: 2x2 blocks in
-closed form, larger ones by LAPACK's symmetric eigensolver.
+iterate that ends the solve. Only a block that the barrier diagonal leaves
+indefinite has its curvature projected onto eigenvalues at or above a
+floor, by LAPACK's symmetric eigensolver: acados's stage convexification,
+applied only where the Newton matrix needs it, as IPOPT corrects curvature.
 
 As in IPOPT's NLP interface, the problem declares its Jacobian's (row,
 column) entries once and its evaluations return only their values. Each
@@ -24,9 +24,10 @@ Jacobian's pattern and keeps the Jacobian as values on it.
 
 Each Newton step goes through the Schur complement of the barrier
 Hessian, as MPC-tailored interior-point methods do (Rao, Wright and
-Rawlings 1998; HPIPM): H is block diagonal and positive definite, so it is
-inverted block by block, a 2x2 or 3x3 block in closed form (adjugate over
-determinant, all blocks at once), and the multiplier step solves the banded
+Rawlings 1998; HPIPM): H is block diagonal and, so projected, positive
+definite, so it is inverted block by block, a 2x2 or 3x3 block in closed
+form (adjugate over determinant, all blocks at once; the leading minors
+test definiteness), and the multiplier step solves the banded
 S = J H^-1 J^T + delta_c I by LAPACK's banded Cholesky (``dpbtrf`` and
 ``dpbtrs``), with one step of iterative refinement against the whole KKT
 system, as in IPOPT. The least-squares multiplier estimate uses the same
@@ -210,7 +211,6 @@ class _ScaledNlp:
         free_blk = self.blk >= 0
         self.blk_dx = np.zeros(self.blk.shape)
         self.blk_dx[free_blk] = self.dx[self.blk[free_blk]]
-        self.blk_kept = free_blk[:, :, None] & free_blk[:, None, :]
 
         self.at_z0 = (self._scaled_residual(res0, self.z0), self._scaled_jacobian(vals0), self._infeasibility(res0), curv0)
 
@@ -263,12 +263,11 @@ class _ScaledNlp:
         return np.bincount(self.jac_cols, jac * y[self.jac_rows], minlength=self.nz)
 
     def hessian(self, curvature, y: np.ndarray) -> np.ndarray:
-        """Projected curvature of the scaled Lagrangian with multipliers y,
-        from an evaluation's ``curvature``: one (k, k) block per row of
-        ``blk``, zero in the rows and columns of fixed variables."""
+        """Exact curvature of the scaled Lagrangian with multipliers y, from
+        an evaluation's ``curvature``: one (k, k) block per row of ``blk``,
+        zero in the rows and columns of fixed variables."""
         hx = curvature(self.obj_scale, y * self.row_scale)
-        hz = self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
-        return np.where(self.blk_kept, _project_blocks(hz), 0.0)
+        return self.blk_dx[:, :, None] * hx * self.blk_dx[:, None, :]
 
     def _scaled_jacobian(self, values: np.ndarray) -> np.ndarray:
         return self.jac_scale * np.append(values, 1.0)[self.jac_src]
@@ -290,52 +289,41 @@ class _ScaledNlp:
 
 def _project_blocks(h: np.ndarray) -> np.ndarray:
     """Each symmetric block of an (H, k, k) stack with its eigenvalues raised
-    to at least ``_EIG_FLOOR``; blocks already there come back unchanged.
-    2x2 blocks take the closed form, larger ones LAPACK's ``eigh``."""
-    if h.shape[1] != 2:
-        w, v = np.linalg.eigh(h)
-        proj = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
-        proj = 0.5 * (proj + proj.transpose(0, 2, 1))
-        return np.where((w[:, 0] >= _EIG_FLOOR)[:, None, None], h, proj)
-    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-    mid, half = 0.5 * (a + c), 0.5 * np.hypot(a - c, 2.0 * b)
-    # the eigenvalue of larger magnitude, then the other as det / it, which
-    # keeps a nearly singular block's small eigenvalue accurate (as LAPACK's dlaev2)
-    big = mid + np.copysign(half, mid)
-    safe = np.where(big == 0.0, 1.0, big)
-    small = (a / safe) * c - (b / safe) * b
-    lo = np.minimum(big, small)
-    w_lo, w_hi = np.maximum(lo, _EIG_FLOOR), np.maximum(np.maximum(big, small), _EIG_FLOOR)
-    # V diag(w_lo, w_hi) V^T = s I + t N, with N = (h - mid I) / half of eigenvalues -1 and 1
-    s, t = 0.5 * (w_lo + w_hi), 0.5 * (w_hi - w_lo) / np.where(half == 0.0, 1.0, half)
-    proj = np.empty_like(h)
-    proj[:, 0, 0] = s + t * (a - mid)
-    proj[:, 1, 1] = s + t * (c - mid)
-    proj[:, 0, 1] = proj[:, 1, 0] = t * b
-    return np.where((lo >= _EIG_FLOOR)[:, None, None], h, proj)
+    to at least ``_EIG_FLOOR``, by LAPACK's ``eigh``."""
+    w, v = np.linalg.eigh(h)
+    proj = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
+    return 0.5 * (proj + proj.transpose(0, 2, 1))
 
 
-def _inverse_blocks(h: np.ndarray) -> np.ndarray:
-    """The inverses of an (H, k, k) stack of symmetric positive definite
-    blocks: adjugate over determinant for k = 2 and 3, LAPACK beyond."""
+def _inverse_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of an (H, k, k) stack of symmetric blocks, and which
+    blocks are positive definite; only those blocks' inverses are to be
+    used. For k = 2 and 3 the inverse is the adjugate over the determinant,
+    and the leading minors it forms decide definiteness (Sylvester's test);
+    other sizes take LAPACK's ``eigvalsh`` and ``inv``."""
     k = h.shape[1]
     if k not in (2, 3):
-        return np.linalg.inv(h)
+        definite = np.linalg.eigvalsh(h)[:, 0] > 0.0
+        inv = np.zeros_like(h)
+        inv[definite] = np.linalg.inv(h[definite])
+        return inv, definite
     inv = np.empty_like(h)
     if k == 2:
         a, b, d = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
-        r = 1.0 / (a * d - b * b)
+        det = a * d - b * b
+        r = 1.0 / det
         inv[:, 0, 0], inv[:, 1, 1] = d * r, a * r
         inv[:, 0, 1] = inv[:, 1, 0] = -b * r
-        return inv
+        return inv, (a > 0.0) & (det > 0.0)
     a, b, c, d, e, f = h[:, 0, 0], h[:, 0, 1], h[:, 0, 2], h[:, 1, 1], h[:, 1, 2], h[:, 2, 2]
     c00, c01, c02 = d * f - e * e, c * e - b * f, b * e - c * d
-    r = 1.0 / (a * c00 + b * c01 + c * c02)
-    inv[:, 0, 0], inv[:, 1, 1], inv[:, 2, 2] = c00 * r, (a * f - c * c) * r, (a * d - b * b) * r
+    minor, det = a * d - b * b, a * c00 + b * c01 + c * c02
+    r = 1.0 / det
+    inv[:, 0, 0], inv[:, 1, 1], inv[:, 2, 2] = c00 * r, (a * f - c * c) * r, minor * r
     inv[:, 0, 1] = inv[:, 1, 0] = c01 * r
     inv[:, 0, 2] = inv[:, 2, 0] = c02 * r
     inv[:, 1, 2] = inv[:, 2, 1] = (b * c - a * e) * r
-    return inv
+    return inv, (a > 0.0) & (minor > 0.0) & (det > 0.0)
 
 
 class _SchurKkt:
@@ -343,10 +331,11 @@ class _SchurKkt:
     solved through the Schur complement S = J H^-1 J^T + delta_c I.
 
     H = W + diag(h) is block diagonal: the curvature blocks W on the rows of
-    ``blk``, and h alone on every other column. With h positive, as the
-    barrier's is, H is positive definite, and so is S when J has full row
-    rank or delta_c is positive. H is inverted block by block
-    (``_inverse_blocks``) and S factored by LAPACK's banded Cholesky.
+    ``blk``, and h > 0, the barrier's, alone on every other column. A block
+    of W + diag(h) that is not positive definite takes its W projected, so H
+    is positive definite, and so is S when J has full row rank or delta_c is
+    positive. H is inverted block by block (``_inverse_blocks``) and S
+    factored by LAPACK's banded Cholesky.
 
     The plan, laid out once per solve: an order of the rows that keeps S's
     band narrow (``_band_order``), and the band slot of every term of S on
@@ -363,6 +352,7 @@ class _SchurKkt:
         kept = nlp.blk >= 0
         # index nz stands in for a block's fixed columns
         self.blk = np.where(kept, nlp.blk, nz)
+        self.kept = kept[:, :, None] & kept[:, None, :]
         self.order = _band_order(rows, cols, self.blk, m, nz)
         rank = np.empty(m, dtype=np.intp)
         rank[self.order] = np.arange(m)
@@ -409,12 +399,12 @@ class _SchurKkt:
         self.bw = int(np.max(rank_i - rank_j, initial=0))
         self.slot = (rank_i - rank_j) * m + rank_j
 
-    def blocks(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """H's blocks: the curvature ``w`` with the diagonal ``h`` added, and
-        1 on the diagonal at a block's fixed columns."""
+    def blocks(self, w: np.ndarray, h: np.ndarray, at=slice(None)) -> np.ndarray:
+        """H's blocks ``at``: their curvature ``w`` with the diagonal ``h``
+        added, and 1 on the diagonal at a block's fixed columns."""
         diag = np.arange(self.blk.shape[1])
         hb = w.copy()
-        hb[:, diag, diag] += np.append(h, 1.0)[self.blk]
+        hb[:, diag, diag] += np.append(h, 1.0)[self.blk[at]]
         return hb
 
     def band(self, hb_inv: np.ndarray, h_inv: np.ndarray, jac: np.ndarray, delta_c: float) -> np.ndarray:
@@ -431,13 +421,20 @@ class _SchurKkt:
 
     def factor(self, w: np.ndarray, h: np.ndarray, jac: np.ndarray, delta_c: float):
         """A solve of the system with curvature blocks ``w``, diagonal ``h`` and
-        Jacobian values ``jac``, refined once against the whole system.
+        Jacobian values ``jac``, refined once against the whole system; a
+        block of ``w`` is projected only where ``h`` leaves it indefinite.
         Raises LinAlgError when S is not numerically positive definite."""
         from scipy.linalg.lapack import dpbtrf, dpbtrs
 
         nz, m, rows, cols, blk = self.nz, self.m, self.rows, self.cols, self.blk
         hb = self.blocks(w, h)
-        hb_inv = _inverse_blocks(hb)
+        hb_inv, definite = _inverse_blocks(hb)
+        if not definite.all():
+            # convexify only the curvature the diagonal leaves indefinite,
+            # zero in the rows and columns of fixed variables
+            bad = np.flatnonzero(~definite)
+            hb[bad] = self.blocks(np.where(self.kept[bad], _project_blocks(w[bad]), 0.0), h, bad)
+            hb_inv[bad] = _inverse_blocks(hb[bad])[0]
         h_inv = 1.0 / h
         if m:
             band = self.band(hb_inv, h_inv, jac, delta_c)

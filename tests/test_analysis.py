@@ -216,6 +216,10 @@ class TestKde:
         # 343.0001 and 343.2 share one window of 5 steps
         assert analysis.most_visited_temperature(synthetic_log(rows)[0]) == 343.0001
 
+    def test_most_visited_level_of_an_empty_column(self):
+        with pytest.raises(ValueError, match="empty log has no temperature level"):
+            analysis.most_visited_temperature(np.zeros(0))
+
     def test_most_visited_level_tie_takes_the_lowest(self):
         rows = [(352.99, 40000.0, 1, 1, 0.1)] * 3 + [(343.0, 40000.0, 1, 1, 0.1)] * 3
         assert analysis.most_visited_temperature(synthetic_log(rows)[0]) == 343.0

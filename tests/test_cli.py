@@ -124,6 +124,49 @@ class TestRun:
         assert code == 2
         assert "dam.csv:2: offset timestamp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["dam is a directory", "out is a file"])
+    def test_file_system_error_is_input_error(self, tmp_path, capsys, case):
+        dam, rtm = write_price_files(tmp_path)
+        out = tmp_path / "o"
+        if case == "dam is a directory":
+            dam = tmp_path
+        else:
+            out.write_text("")
+        code = cli.main([
+            "run", "--strategy", "co", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", DAY, "--end", DAY, "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_end_before_start_is_input_error(self, tmp_path, capsys):
+        dam, rtm = write_price_files(tmp_path)
+        code = cli.main([
+            "run", "--strategy", "co", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", "2022-01-04", "--end", DAY, "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "error: end day precedes start day" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, storage0, names", [
+        ("storage_frac_min = -0.5\n", "-100", "storage_frac_min"),
+        ("faraday_efficiency = 1.5\n", None, "faraday_efficiency"),
+        # co's pinned current would make 562 kmol/hr against the 500 setpoint
+        ("n_stacks = 900\n", None, "setpoint"),
+    ])
+    def test_impossible_plant_is_input_error(self, tmp_path, capsys, config, storage0, names):
+        dam, rtm = write_price_files(tmp_path)
+        cfg = tmp_path / "plant.cfg"
+        cfg.write_text(config)
+        extra = ["--storage0", storage0] if storage0 else []
+        code = cli.main([
+            "run", "--config", str(cfg), "--strategy", "co", "--dam", str(dam), "--rtm", str(rtm),
+            "--start", DAY, "--end", DAY, "--out", str(tmp_path / "o"), *extra,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+
     def test_failed_bootstrap_solve_is_solver_abort(self, tmp_path, monkeypatch, capsys):
         real_solve = rollout.solve
 
@@ -194,12 +237,14 @@ class TestAnalyze:
             cli.main(["analyze", "--log", str(log), "fourier", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_missing_log_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["ghost.csv", ""])  # "" names the directory itself
+    def test_missing_log_is_input_error(self, tmp_path, capsys, name):
         code = cli.main([
-            "analyze", "--log", str(tmp_path / "ghost.csv"), "lcoh",
-            "--out", str(tmp_path),
+            "analyze", "--log", str(tmp_path / name), "lcoh",
+            "--out", str(tmp_path / "an"),
         ])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("edit", [
         "too few fields", "extra field", "another strategy", "no number", "bad timestamp", "comment mark",

@@ -76,6 +76,19 @@ class TestLoadPriceCsv:
         with pytest.raises(PriceFileError, match=r"dam.csv:4: offset timestamp"):
             load_price_csv(path, resolution_minutes=60)
 
+    @pytest.mark.parametrize("rows, resolution, error, message", [
+        (hourly_rows(), 30, ValueError, "resolution must be 15 or 60"),
+        (["2022-01-03T00:00:00,20.0,21.0"], 60, PriceFileError, "dam.csv:2: expected two columns, got 3"),
+        (["2022-01-03T00:00:00,20.0", "2022-01-03T01:00:00,nan"], 60, PriceFileError,
+         "dam.csv:3: non-finite price 'nan'"),
+        ([], 60, PriceFileError, "dam.csv: no price rows"),
+    ])
+    def test_malformed_file_is_rejected(self, tmp_path, rows, resolution, error, message):
+        path = tmp_path / "dam.csv"
+        write_prices(path, rows)
+        with pytest.raises(error, match=message):
+            load_price_csv(path, resolution_minutes=resolution)
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "dam.csv"
         path.write_text("time,price\n2022-01-03T00:00:00,20.0\n")

@@ -1,3 +1,4 @@
+import dataclasses
 from datetime import timedelta
 
 import numpy as np
@@ -138,6 +139,32 @@ class TestBuildStructure:
     def test_committed_dam_out_of_range_rejected(self, params, state):
         with pytest.raises(BuildError, match="outside"):
             make_problem(StrategyKind.HF_MS, state, params, H=4, dam=150.0)
+
+    @pytest.mark.parametrize("case, message", [
+        ("empty horizon", "at least one step"),
+        ("window lengths differ", "price windows must match"),
+        ("co current outside the box", "outside the current box"),
+        # 900 stacks turn co's pinned 35,260 A into 562 kmol/hr
+        ("co current misses the setpoint", "562.42 kmol/hr, off the 500.0 kmol/hr setpoint"),
+    ])
+    def test_impossible_problem_rejected(self, params, state, case, message):
+        dam, rtm, p = np.full(4, 25.0), np.full(4, 25.0), params
+        if case == "empty horizon":
+            dam = rtm = np.zeros(0)
+        elif case == "window lengths differ":
+            rtm = np.full(3, 25.0)
+        elif case == "co current outside the box":
+            # 7,000 A/m2 over 5 m2 caps the current at 35,000 A
+            p = dataclasses.replace(params, current_density_max=7000.0)
+        else:
+            p = dataclasses.replace(params, n_stacks=900)
+        with pytest.raises(BuildError, match=message):
+            build(StrategyKind.CO, state, [55.0] * max(1, len(dam) // 4), dam, rtm, p)
+
+    def test_vector_of_the_wrong_length_rejected(self, params, state):
+        prob = make_problem(StrategyKind.HF_MS, state, params, H=4)
+        with pytest.raises(ValueError, match=f"expected vector of length {prob.n}, got {prob.n - 1}"):
+            prob.objective_and_gradient(np.zeros(prob.n - 1))
 
     def test_commitment_storage_margin(self, params, state):
         # only the states free day-ahead steps reach keep the margin

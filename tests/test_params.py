@@ -33,6 +33,10 @@ def test_validate_idempotent(params):
         ("membrane_area", -5.0, "positive"),
         ("h2_setpoint", 5000.0, "h2_setpoint"),
         ("n_stacks", 0, "positive"),
+        ("storage_frac_min", -0.5, "storage_frac_min: must be >= 0"),
+        ("faraday_efficiency", 1.5, "faraday_efficiency: must be <= 1"),
+        # 1,400 A/m2 over 5 m2 is 7,000 A, below the 7,052 A the generation floor needs
+        ("current_density_max", 1400.0, "current box empty"),
     ],
 )
 def test_invariant_violations_name_the_field(field, value, fragment):
@@ -78,6 +82,9 @@ def test_config_file_errors_carry_line_numbers(tmp_path):
         load_params(cfg)
     cfg.write_text("n_stacks eight hundred\n")
     with pytest.raises(ParamError, match="key = value"):
+        load_params(cfg)
+    cfg.write_text("membrane_area = 5\nn_stacks = 800.5\n")
+    with pytest.raises(ParamError, match="bad.cfg:2: bad value for n_stacks"):
         load_params(cfg)
 
 

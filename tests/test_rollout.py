@@ -183,6 +183,15 @@ class TestRunValidation:
                 flat_two_days(25.0), START, START - timedelta(days=1), plant,
             )
 
+    def test_co_plant_that_misses_the_setpoint_is_rejected_before_any_step(self, start_state):
+        # 900 stacks make co's pinned current generate 562 kmol/hr; the
+        # simulator would reject its first step
+        with pytest.raises(ocp.BuildError, match="setpoint"):
+            rollout.run(
+                ocp.StrategyKind.CO, start_state, flat_two_days(25.0), flat_two_days(25.0),
+                START, START, dataclasses.replace(PlantParams(), n_stacks=900),
+            )
+
     def test_simulator_rejection_is_a_rollout_error(self, plant):
         # a membrane of 0.5 um wears through in the fourth step of constant operation
         thin = PlantState(0.5, 4200.0, datetime(2022, 1, 3))
@@ -342,6 +351,13 @@ class TestTrajectoryCsv:
         log.to_csv(path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
         assert b",-0.0," in path.read_bytes() and b",5e-324," in path.read_bytes()
+
+    def test_wrong_header_rejected(self, hf_spike_log, tmp_path):
+        path = tmp_path / "log.csv"
+        hf_spike_log.to_csv(path)
+        path.write_text(path.read_text().replace("cum_h2_ton", "cum_h2_kg", 1))
+        with pytest.raises(ValueError, match="log.csv: unexpected trajectory header"):
+            rollout.read_trajectory_csv(path)
 
     def test_write_is_deterministic(self, hf_spike_log, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,7 +13,7 @@ from h2mpc.ocp import StrategyKind, build, cold_start
 from h2mpc.params import PlantParams, PlantState
 from h2mpc.solver import (
     _EIG_FLOOR, _PUSH_COLD, FEASIBILITY_TOLERANCE, KKT_TOLERANCE, Multipliers, SolverConfig, Start, _SchurKkt,
-    _ScaledNlp, _inverse_blocks, _project_blocks, _push_interior, _solve_kkt, minimize,
+    _ScaledNlp, _project_blocks, _push_interior, _solve_kkt, minimize,
 )
 
 BOX = 100.0  # default half-width of the variable box; the solver needs finite bounds
@@ -57,9 +57,15 @@ class Quadratic:
         return np.arange(self.n)[None, :]
 
 
+def kept_entries(nlp):
+    """The (H, k, k) block entries of ``nlp`` whose row and column are free."""
+    free = nlp.blk >= 0
+    return free[:, :, None] & free[:, None, :]
+
+
 def dense_blocks(nlp, w):
     """The reduced (nz, nz) matrix of the curvature blocks ``w`` of ``nlp``."""
-    kept = nlp.blk_kept
+    kept = kept_entries(nlp)
     W = np.zeros((nlp.nz, nlp.nz))
     W[np.broadcast_to(nlp.blk[:, :, None], kept.shape)[kept], np.broadcast_to(nlp.blk[:, None, :], kept.shape)[kept]] = w[kept]
     return W
@@ -242,6 +248,11 @@ class TestSolverContract:
         with pytest.raises(ValueError, match="finite"):
             minimize(prob, np.zeros(2), raw_cfg())
 
+    def test_start_of_the_wrong_length_rejected(self):
+        prob = Quadratic(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="start vector has length 3, expected 2"):
+            minimize(prob, np.zeros(3), raw_cfg())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(initialization="tepid")
@@ -316,8 +327,9 @@ class TestSchurKkt:
         spread over eight decades, and the dense H and J they make with the
         start's Jacobian."""
         rng = np.random.default_rng(seed)
-        R = rng.normal(size=nlp.blk_kept.shape)
-        w = np.where(nlp.blk_kept, R @ R.transpose(0, 2, 1), 0.0)
+        kept = kept_entries(nlp)
+        R = rng.normal(size=kept.shape)
+        w = np.where(kept, R @ R.transpose(0, 2, 1), 0.0)
         w[1::2] *= np.eye(w.shape[-1])  # diagonal curvature on some blocks
         h = 10.0 ** rng.uniform(-4.0, 4.0, nlp.nz)
         jac = nlp.at_z0[1]
@@ -459,11 +471,11 @@ class TestSchurKkt:
 
 
 class TestCurvature:
-    """Exact stage Hessians, projected onto eigenvalues at or above the floor."""
+    """Exact stage Hessians; a block that the barrier diagonal leaves
+    indefinite is projected onto eigenvalues at or above the floor."""
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_projected_blocks_are_symmetric_and_above_the_floor(self, k):
-        # k = 2 takes the closed form, k = 3 LAPACK's eigh
         rng = np.random.default_rng(17)
         R = rng.normal(size=(200, k, k))
         blocks = R + R.transpose(0, 2, 1)  # mostly indefinite
@@ -475,23 +487,26 @@ class TestCurvature:
         assert np.all(np.linalg.eigvalsh(proj)[:, 0] >= _EIG_FLOOR - 1e-12 * norms)
         definite = np.linalg.eigvalsh(blocks)[:, 0] >= _EIG_FLOOR
         assert definite[::4].all() and not definite[1::4].any() and definite.any() and not definite.all()
-        assert np.array_equal(proj[definite], blocks[definite])
-        # the projection keeps the eigenvectors and every eigenvalue above the floor
-        w, v = np.linalg.eigh(blocks[~definite])
+        # the projection keeps the eigenvectors and every eigenvalue above
+        # the floor, so a block already above it comes back to roundoff
+        w, v = np.linalg.eigh(blocks)
         ref = (v * np.maximum(w, _EIG_FLOOR)[:, None, :]) @ v.transpose(0, 2, 1)
-        assert np.allclose(proj[~definite], ref, rtol=0.0, atol=1e-12 * norms.max())
+        assert np.allclose(proj, ref, rtol=0.0, atol=1e-12 * norms.max())
+        assert np.allclose(proj[definite], blocks[definite], rtol=0.0, atol=1e-12 * norms.max())
 
     def test_projection_of_a_multiple_of_the_identity(self):
-        # equal eigenvalues leave the closed form no eigenvector to take
+        # equal eigenvalues: any basis is an eigenbasis, and the floor or
+        # the block itself comes back exactly
         blocks = np.array([[[-2.0, 0.0], [0.0, -2.0]], [[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 3.0]]])
         proj = _project_blocks(blocks)
         assert np.array_equal(proj[:2], np.broadcast_to(_EIG_FLOOR * np.eye(2), (2, 2, 2)))
         assert np.array_equal(proj[2], blocks[2])
 
     @pytest.mark.parametrize("strategy", list(StrategyKind))
-    def test_scaled_curvature_projects_the_free_columns(self, strategy, params, state):
+    def test_scaled_curvature_is_exact_on_the_free_columns(self, strategy, params, state):
         # fixed columns (the pinned entry thickness, co's current) leave the
-        # block; the rest is scaled by the column ranges and projected alone
+        # block; the rest is the problem's curvature scaled by the column
+        # ranges, not convexified
         prob = commitment_problem(strategy, state, params)
         x0 = cold_start(prob)
         nlp = _ScaledNlp(prob, x0, 1.0e-4, _PUSH_COLD)
@@ -499,23 +514,61 @@ class TestCurvature:
         rng = np.random.default_rng(19)
         y = rng.normal(scale=1e3, size=prob.m_eq + len(prob.rg_lb))
         w = nlp.hessian(curvature, y)
-        assert not np.any(w[~nlp.blk_kept])
+        kept = kept_entries(nlp)
+        assert not np.any(w[~kept])
         W = dense_blocks(nlp, w)
 
         hx = prob.constraints_and_jacobian(nlp.x_full(nlp.z0))[2](nlp.obj_scale, y * nlp.row_scale)
         pos = {col: i for i, col in enumerate(nlp.free)}
-        checked = 0
+        checked = indefinite = 0
         for cols, block in zip(prob.nonlinear_blocks(), hx):
             keep = [a for a, col in enumerate(cols) if col in pos]
             red = [pos[cols[a]] for a in keep]
             scale = nlp.dx[red]
             exact = scale[:, None] * block[np.ix_(keep, keep)] * scale[None, :]
-            ev, vec = np.linalg.eigh(exact)
-            ref = (vec * np.maximum(ev, _EIG_FLOOR)) @ vec.T
             got = W[np.ix_(red, red)]
-            assert np.allclose(got, ref, rtol=1e-9, atol=1e-12 * max(1.0, np.max(np.abs(exact)))), cols
+            assert np.allclose(got, exact, rtol=1e-12, atol=0.0), cols
             checked += len(red) ** 2
-        assert checked == np.count_nonzero(nlp.blk_kept)
+            indefinite += np.linalg.eigvalsh(exact)[0] < 0.0
+        assert checked == np.count_nonzero(kept)
+        # the exact curvature is indefinite on some blocks: hessian keeps it so
+        assert indefinite > 0
+
+    @pytest.mark.parametrize("strategy", list(StrategyKind))
+    def test_factor_projects_only_the_blocks_the_diagonal_leaves_indefinite(self, strategy, params, state):
+        # k = 3 for the high-fidelity strategies, 2 for the others. Random
+        # indefinite curvature on every block; on every other block a
+        # barrier diagonal just above its most negative eigenvalue makes
+        # W + D definite, and a small one leaves the rest indefinite. The
+        # step solves the KKT system with W exact on the first kind and
+        # projected on the second
+        prob = commitment_problem(strategy, state, params)
+        nlp = _ScaledNlp(prob, cold_start(prob), 1.0e-4, _PUSH_COLD)
+        kept = kept_entries(nlp)
+        rng = np.random.default_rng(23)
+        R = rng.normal(size=kept.shape)
+        w = np.where(kept, R + R.transpose(0, 2, 1), 0.0)
+        h = 10.0 ** rng.uniform(-3.0, -2.0, nlp.nz)
+        lifted = nlp.blk[::2] >= 0
+        lift = np.maximum(-np.linalg.eigvalsh(w[::2])[:, :1], 0.0) + rng.uniform(0.5, 1.0, lifted.shape)
+        h[nlp.blk[::2][lifted]] = lift[lifted]
+        W = dense_blocks(nlp, w)
+        on_blocks = np.append(h, 1.0)[np.where(nlp.blk >= 0, nlp.blk, nlp.nz)]
+        definite = np.linalg.eigvalsh(w + on_blocks[:, :, None] * np.eye(w.shape[-1]))[:, 0] > 0.0
+        assert definite[::2].all() and not definite[1::2].all()
+        projected = np.where(definite[:, None, None], w, np.where(kept, _project_blocks(w), 0.0))
+        H = dense_blocks(nlp, projected) + np.diag(h)
+        J = np.zeros((nlp.m, nlp.nz))
+        J[nlp.jac_rows, nlp.jac_cols] = jac = nlp.at_z0[1]
+        K = np.block([[H, J.T], [J, np.zeros((nlp.m, nlp.m))]])
+        rhs = np.random.default_rng(24).normal(size=len(K))
+        step = _SchurKkt(nlp).factor(w, h, jac, 0.0)(rhs)
+        ref = np.linalg.solve(K, rhs)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+        # the exact blocks matter: with every block projected the step differs
+        everywhere = dense_blocks(nlp, np.where(kept, _project_blocks(w), 0.0)) + np.diag(h)
+        other = np.linalg.solve(np.block([[everywhere, J.T], [J, np.zeros((nlp.m, nlp.m))]]), rhs)
+        assert np.linalg.norm(other - ref) > 1e-4 * np.linalg.norm(ref)
 
     def test_second_order_correction_keeps_full_steps(self):
         # Powell's example of the Maratos effect: min 2|x|^2 - x1 on
@@ -554,19 +607,27 @@ class TestBlockKernels:
     def test_closed_form_inverse_is_as_accurate_as_lapack(self, params, bundled, monkeypatch):
         # every H block factored over the bundled compare day, 3x3 for the
         # high-fidelity strategies and 2x2 for the others, some with
-        # condition numbers near 1e18
+        # condition numbers near 1e18. The inverse of each block the flags
+        # call definite is as accurate as LAPACK's, and the flags agree with
+        # the eigenvalues wherever these decide the sign
         dam, rtm, state = bundled
         captured = []
-        real = _SchurKkt.blocks
-        monkeypatch.setattr(_SchurKkt, "blocks", lambda kkt, w, h: captured.append(real(kkt, w, h)) or captured[-1])
+        real = solver._inverse_blocks
+        monkeypatch.setattr(solver, "_inverse_blocks", lambda h: captured.append(h.copy()) or real(h))
         day = date(2022, 1, 2)
         rollout.compare(list(StrategyKind), state, dam, rtm, day, day, params)
         for k in (2, 3):
             H = np.concatenate([hb for hb in captured if hb.shape[1] == k])
-            assert len(H) > 10_000
-            ours = np.max(np.abs(H @ _inverse_blocks(H) - np.eye(k)))
-            lapack = np.max(np.abs(H @ np.linalg.inv(H) - np.eye(k)))
+            inv, definite = real(H)
+            assert definite.sum() > 10_000
+            ours = np.max(np.abs(H[definite] @ inv[definite] - np.eye(k)))
+            lapack = np.max(np.abs(H[definite] @ np.linalg.inv(H[definite]) - np.eye(k)))
             assert ours <= 2.0 * lapack, (k, ours, lapack)
+            lowest = np.linalg.eigvalsh(H)[:, 0]
+            decided = np.abs(lowest) > 1e-12 * np.max(np.abs(H), axis=(1, 2))
+            assert np.array_equal(definite[decided], lowest[decided] > 0.0)
+        # W + D is indefinite on some 3x3 blocks of this day
+        assert not definite.all()
 
     def test_ill_conditioned_warm_solve_takes_no_more_work(self, params, bundled, monkeypatch):
         # hf-ss's 00:15 solve of the bundled day: 95 steps, warm, barrier
